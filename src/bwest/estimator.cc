@@ -39,12 +39,12 @@ void BandwidthEstimator::FoldProbe(dht::NodeIndex from, dht::NodeIndex to,
 void BandwidthEstimator::EstimateAll() {
   if (estimates_.size() < ring_.size()) estimates_.resize(ring_.size());
   for (const dht::NodeIndex n : ring_.SortedAlive()) {
-    for (const auto& e : ring_.node(n).leafset().Members()) {
-      if (!ring_.node(e.node).alive()) continue;
+    ring_.node(n).leafset().ForEachMember([&](const dht::LeafsetEntry& e) {
+      if (!ring_.alive(e.node)) return;
       const auto m =
           probe_.Probe(ring_.node(n).host(), ring_.node(e.node).host());
       if (m.has_value()) FoldProbe(n, e.node, *m);
-    }
+    });
   }
 }
 

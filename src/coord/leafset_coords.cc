@@ -140,15 +140,15 @@ void LeafsetCoordSystem::RunRounds(std::size_t rounds) {
     rng_.Shuffle(order);
     for (const dht::NodeIndex n : order) {
       std::vector<std::pair<dht::NodeIndex, double>> meas;
-      for (const auto& e : ring_.node(n).leafset().Members()) {
-        if (!ring_.node(e.node).alive()) continue;
+      ring_.node(n).leafset().ForEachMember([&](const dht::LeafsetEntry& e) {
+        if (!ring_.alive(e.node)) return;
         double delay = Measured(n, e.node);
         if (options_.measurement_noise > 0.0) {
           delay *= rng_.Uniform(1.0 - options_.measurement_noise,
                                 1.0 + options_.measurement_noise);
         }
         meas.emplace_back(e.node, delay);
-      }
+      });
       OptimizeNode(n, meas);
     }
   }

@@ -8,32 +8,6 @@ namespace p2p::dht {
 
 namespace {
 
-using HeardRow = std::vector<std::pair<NodeIndex, sim::Time>>;
-
-// Sorted-row lookups for the flat last_heard_/suspected_ state.
-sim::Time* FindHeard(HeardRow& row, NodeIndex m) {
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), m,
-      [](const std::pair<NodeIndex, sim::Time>& p, NodeIndex key) {
-        return p.first < key;
-      });
-  if (it != row.end() && it->first == m) return &it->second;
-  return nullptr;
-}
-
-void SetHeard(HeardRow& row, NodeIndex m, sim::Time t) {
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), m,
-      [](const std::pair<NodeIndex, sim::Time>& p, NodeIndex key) {
-        return p.first < key;
-      });
-  if (it != row.end() && it->first == m) {
-    it->second = t;
-  } else {
-    row.insert(it, {m, t});
-  }
-}
-
 // Returns true when `m` was newly inserted.
 bool SortedInsert(std::vector<NodeIndex>& set, NodeIndex m) {
   const auto it = std::lower_bound(set.begin(), set.end(), m);
@@ -72,13 +46,22 @@ void HeartbeatProtocol::Start() {
   // The bus charges the same host-to-host delays the protocol used to
   // compute itself; keep its oracle in sync with the ring's.
   if (ring_.oracle() != nullptr) sim_.transport().set_oracle(ring_.oracle());
-  last_heard_.resize(ring_.size());
+  width_ = ring_.leafset_size();
+  P2P_CHECK_MSG(width_ < kNoSlot, "leafset too large for heartbeat slots");
+  row_of_.assign(ring_.size(), kNoRow);
   detected_.assign(ring_.size(), 0);
-  suspected_.resize(ring_.size());
-  tokens_.resize(ring_.size());
+  std::size_t owned = 0;
   for (NodeIndex n = 0; n < ring_.size(); ++n) {
-    if (ring_.node(n).alive() && OwnsNode(n)) SchedulePeriodic(n);
+    if (!ring_.alive(n) || !OwnsNode(n)) continue;
+    ++owned;
+    SchedulePeriodic(n);
   }
+  // Rows themselves are laid out lazily, on each node's first beat or
+  // delivery; only the storage is sized here, to the nodes this instance
+  // owns.
+  heads_.reserve(owned);
+  suspected_.reserve(owned);
+  rows_.reserve(owned * width_);
 }
 
 void HeartbeatProtocol::BindShard(
@@ -104,11 +87,9 @@ void HeartbeatProtocol::Stop() {
 
 void HeartbeatProtocol::OnNodeJoined(NodeIndex n) {
   if (!running_) return;
-  if (last_heard_.size() <= n) {
-    last_heard_.resize(n + 1);
+  if (row_of_.size() <= n) {
+    row_of_.resize(n + 1, kNoRow);
     detected_.resize(n + 1, 0);
-    suspected_.resize(n + 1);
-    tokens_.resize(n + 1);
   }
   if (OwnsNode(n)) SchedulePeriodic(n);
 }
@@ -119,6 +100,7 @@ void HeartbeatProtocol::SchedulePeriodic(NodeIndex n) {
   // does not depend on batch_beats.
   const sim::Time phase = sim_.rng().Uniform(0.0, config_.period_ms);
   if (!config_.batch_beats) {
+    if (tokens_.size() <= n) tokens_.resize(n + 1);
     tokens_[n] = sim_.Every(config_.period_ms, phase, [this, n] { Beat(n); });
     return;
   }
@@ -191,60 +173,171 @@ void HeartbeatProtocol::ScheduleSweep() {
   beat_walker_ = sim_.At(beat_order_[next].first, [this] { BeatSweep(); });
 }
 
+std::uint32_t HeartbeatProtocol::LayOutRow(NodeIndex n) {
+  if (n >= row_of_.size()) row_of_.resize(n + 1, kNoRow);
+  std::uint32_t row = row_of_[n];
+  if (row == kNoRow) {
+    row = static_cast<std::uint32_t>(heads_.size());
+    row_of_[n] = row;
+    heads_.push_back({0, 0});
+    suspected_.emplace_back();
+    if (rows_.size() + width_ > rows_.capacity()) {
+      // Joins past the owned count reserved at Start: grow by a sixteenth,
+      // not the default doubling, so the footprint tracks the owned nodes.
+      rows_.reserve(rows_.size() + std::max(rows_.size() / 16, 64 * width_));
+    }
+    rows_.resize(rows_.size() + width_);
+    BuildRow(n, row, /*fresh=*/true);
+  } else {
+    BuildRow(n, row, /*fresh=*/false);
+  }
+  return row;
+}
+
+std::uint32_t HeartbeatProtocol::ReverseSlot(NodeIndex m, NodeIndex n) const {
+  const Leafset& ls = ring_.node(m).leafset();
+  const auto& succ = ls.successors();
+  for (std::size_t k = 0; k < succ.size(); ++k)
+    if (succ[k].node == n) return static_cast<std::uint32_t>(k);
+  const auto& pred = ls.predecessors();
+  for (std::size_t k = 0; k < pred.size(); ++k)
+    if (pred[k].node == n) return static_cast<std::uint32_t>(width_ / 2 + k);
+  return kNoSlot;
+}
+
+void HeartbeatProtocol::BuildRow(NodeIndex n, std::uint32_t row, bool fresh) {
+  const Node& x = ring_.node(n);
+  const Leafset& ls = x.leafset();
+  const sim::Transport& bus = sim_.transport();
+  const std::size_t src = x.host();
+  scratch_.assign(width_, Slot{kEmpty, 0, kNoSlot, kNeverHeard, -1.0});
+  const auto place = [&](std::size_t k, const LeafsetEntry& e) {
+    const std::size_t dst = ring_.node(e.node).host();
+    P2P_CHECK_MSG(e.node < kEmpty && dst < (1u << 24),
+                  "node or host index too large for heartbeat slots");
+    Slot& s = scratch_[k];
+    s.member = static_cast<std::uint32_t>(e.node);
+    s.host = static_cast<std::uint32_t>(dst);
+    s.rev = ReverseSlot(e.node, n);
+    s.delay = bus.oracle() != nullptr ? bus.BaseDelayMs(src, dst) : -1.0;
+  };
+  const auto& succ = ls.successors();
+  const auto& pred = ls.predecessors();
+  for (std::size_t k = 0; k < succ.size(); ++k) place(k, succ[k]);
+  for (std::size_t k = 0; k < pred.size(); ++k)
+    if (!ls.InSuccessors(pred[k].id)) place(width_ / 2 + k, pred[k]);
+
+  // Carry heard times over: from the previous layout for members that
+  // stay, then from the spill for members that (re)enter; members that
+  // left spill theirs. The (receiver, sender) mapping is thereby the same
+  // before and after — the row only caches where it lives.
+  Slot* const old = SlotsOf(row);
+  if (!fresh) {
+    for (std::size_t j = 0; j < width_; ++j) {
+      if (old[j].member == kEmpty || old[j].heard < 0.0) continue;
+      bool kept = false;
+      for (Slot& s : scratch_) {
+        if (s.member == old[j].member) {
+          s.heard = old[j].heard;
+          kept = true;
+          break;
+        }
+      }
+      if (!kept) spill_[SpillKey(n, old[j].member)] = old[j].heard;
+    }
+  }
+  if (!spill_.empty()) {
+    for (Slot& s : scratch_) {
+      if (s.member == kEmpty || s.heard >= 0.0) continue;
+      const auto it = spill_.find(SpillKey(n, s.member));
+      if (it == spill_.end()) continue;
+      s.heard = it->second;
+      spill_.erase(it);
+    }
+  }
+  std::copy(scratch_.begin(), scratch_.end(), old);
+  heads_[row] = {ring_.leafset_version(n), static_cast<std::uint32_t>(src)};
+}
+
 void HeartbeatProtocol::Beat(NodeIndex n) {
-  if (!running_ || !ring_.node(n).alive()) return;
+  if (!running_ || !ring_.alive(n)) return;
   const sim::Time now = sim_.now();
-  for (const auto& e : ring_.node(n).leafset().Members()) {
+  const std::uint32_t row = RowFor(n);
+  sim::Message msg;
+  msg.src_host = heads_[row].host;
+  msg.protocol = sim::Protocol::kHeartbeat;
+  msg.bytes = kHeartbeatBytes;
+  sim::SendOptions opts;
+  opts.fallback_delay_ms = config_.default_delay_ms;
+  const Slot* slots = SlotsOf(row);
+  for (std::size_t k = 0; k < width_; ++k) {
+    const Slot& s = slots[k];
+    if (s.member == kEmpty) continue;
     ++sent_;
     m_sent_->Inc();
-    const NodeIndex to = e.node;
-    sim::Message msg;
-    msg.src_host = ring_.node(n).host();
-    msg.dst_host = ring_.node(to).host();
-    msg.protocol = sim::Protocol::kHeartbeat;
-    msg.bytes = kHeartbeatBytes;
-    sim::SendOptions opts;
-    opts.fallback_delay_ms = config_.default_delay_ms;
+    const NodeIndex to = s.member;
+    const std::uint32_t rev = s.rev;
+    msg.dst_host = s.host;
+    opts.delay_override_ms = s.delay;
     // The receiver's owning instance records the delivery: its state rows
     // for `to` are only ever touched on its own shard. `peer == this` when
     // unbound, so the serial path is unchanged.
-    HeartbeatProtocol* peer = PeerForNode(to);
+    HeartbeatProtocol* peer = PeerForHost(s.host);
     sim_.transport().Send(
-        msg, [peer, n, to, now] { peer->Deliver(n, to, now); }, opts);
+        msg, [peer, n, to, now, rev] { peer->Deliver(n, to, now, rev); },
+        opts);
   }
-  CheckTimeouts(n);
+  CheckTimeouts(n, row);
 }
 
 void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
-                                sim::Time send_time) {
+                                sim::Time send_time, std::uint32_t rev) {
   if (!running_) return;
   // A crashed sender's in-flight messages are dropped (it "stopped
   // responding" at fail time, and Beat checks liveness at send time, so
   // this only filters messages racing a failure).
-  if (!ring_.node(from).alive() || !ring_.node(to).alive()) return;
+  if (!ring_.alive(from) || !ring_.alive(to)) return;
   ++delivered_;
   m_delivered_->Inc();
-  SetHeard(last_heard_[to], from, sim_.now());
+  const sim::Time now = sim_.now();
+  // Stamp the sender's slot in the receiver's row: the slot the sender
+  // named when it built its own row, else (either leafset changed since)
+  // a scan of the row, else the spill (the sender is not a member).
+  const std::uint32_t row = RowFor(to);
+  Slot* slots = SlotsOf(row);
+  Slot* hit = rev < width_ && slots[rev].member == from ? &slots[rev] : nullptr;
+  for (std::size_t k = 0; hit == nullptr && k < width_; ++k)
+    if (slots[k].member == from) hit = &slots[k];
+  if (hit != nullptr) {
+    hit->heard = now;
+  } else {
+    spill_[SpillKey(to, from)] = now;
+  }
   // Hearing from a suspect clears the suspicion (it was a false alarm or
   // the network healed).
-  if (config_.suspect_alive && SortedErase(suspected_[to], from))
+  if (config_.suspect_alive && SortedErase(suspected_[row], from))
     m_suspicion_clears_->Inc();
-  for (const auto& obs : observers_) obs(from, to, send_time, sim_.now());
+  for (const auto& obs : observers_) obs(from, to, send_time, now);
 }
 
-void HeartbeatProtocol::CheckTimeouts(NodeIndex n) {
+void HeartbeatProtocol::CheckTimeouts(NodeIndex n, std::uint32_t row) {
   const sim::Time now = sim_.now();
-  for (const auto& e : ring_.node(n).leafset().Members()) {
-    const NodeIndex m = e.node;
-    if (ring_.node(m).alive()) {
+  // Walks the row as laid out for this beat even if a detection below
+  // rewrites n's leafset: the row is only rebuilt on n's next use, so the
+  // loop sees the members the beat was sent to. Slots are re-read by index
+  // because observers may create other rows (and move the storage).
+  for (std::size_t k = 0; k < width_; ++k) {
+    const Slot s = SlotsOf(row)[k];
+    if (s.member == kEmpty) continue;
+    const NodeIndex m = s.member;
+    if (ring_.alive(m)) {
       // Suspicion (suspect_alive mode): a member we *have* heard from
       // before has gone silent past the timeout. Requiring one prior
       // delivery avoids flagging everyone during start-up warm-up.
       if (!config_.suspect_alive) continue;
-      const sim::Time* heard = FindHeard(last_heard_[n], m);
-      if (heard == nullptr) continue;
-      if (now - *heard < config_.timeout_ms) continue;
-      if (!SortedInsert(suspected_[n], m)) continue;  // already suspected
+      if (s.heard < 0.0) continue;
+      if (now - s.heard < config_.timeout_ms) continue;
+      if (!SortedInsert(suspected_[row], m)) continue;  // already suspected
       ++suspicions_;
       ++false_suspicions_;  // m is alive: by definition a false positive
       m_suspicions_->Inc();
@@ -252,14 +345,13 @@ void HeartbeatProtocol::CheckTimeouts(NodeIndex n) {
       for (const auto& obs : suspicion_observers_) obs(n, m, now, true);
       continue;
     }
-    const sim::Time* found = FindHeard(last_heard_[n], m);
-    const sim::Time heard = found == nullptr ? 0.0 : *found;
+    const sim::Time heard = s.heard < 0.0 ? 0.0 : s.heard;
     if (now - heard < config_.timeout_ms) continue;
     // Sensor mode (auto_repair off): every detector independently marks the
     // silent member in its own suspect set — the dead node never beats
     // again, so the suspicion persists and rides the in-band telemetry
     // until an external reactor repairs membership.
-    if (!config_.auto_repair) SortedInsert(suspected_[n], m);
+    if (!config_.auto_repair) SortedInsert(suspected_[row], m);
     if (detected_[m]) continue;
     detected_[m] = 1;
     ++failures_detected_;
@@ -287,10 +379,13 @@ void HeartbeatProtocol::CheckTimeouts(NodeIndex n) {
 
 std::size_t HeartbeatProtocol::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
-  bytes += last_heard_.capacity() *
-           sizeof(std::vector<std::pair<NodeIndex, sim::Time>>);
-  for (const auto& row : last_heard_)
-    bytes += row.capacity() * sizeof(std::pair<NodeIndex, sim::Time>);
+  bytes += row_of_.capacity() * sizeof(std::uint32_t);
+  bytes += heads_.capacity() * sizeof(RowHead);
+  bytes += (rows_.capacity() + scratch_.capacity()) * sizeof(Slot);
+  // Hash-node payload plus its chain pointer, and the bucket array.
+  bytes += spill_.size() *
+           (sizeof(std::pair<const std::uint64_t, sim::Time>) + sizeof(void*));
+  bytes += spill_.bucket_count() * sizeof(void*);
   bytes += tokens_.capacity() * sizeof(sim::Simulation::PeriodicToken);
   bytes += beat_order_.capacity() * sizeof(std::pair<sim::Time, NodeIndex>);
   bytes += detected_.capacity();

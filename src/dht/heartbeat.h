@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,9 +98,9 @@ class HeartbeatProtocol {
   // outliving the protocol) and where its peers live. After binding, Start
   // schedules periodic beats only for owned nodes, and delivery closures
   // target the receiver's owning instance, so all mutable per-node state
-  // (last_heard_, suspected_) is touched exclusively by its owner's shard
-  // thread. Serial runs never call this; an unbound instance owns every
-  // node and delivers to itself — the exact seed code path.
+  // (slot rows, spill, suspected_) is touched exclusively by its owner's
+  // shard thread. Serial runs never call this; an unbound instance owns
+  // every node and delivers to itself — the exact seed code path.
   void BindShard(std::uint32_t shard,
                  const std::vector<std::uint32_t>* shard_of_host,
                  std::vector<HeartbeatProtocol*> peers);
@@ -127,19 +128,47 @@ class HeartbeatProtocol {
   // auto_repair is off. This is the per-node signal HostTelemetry::suspects
   // carries in-band.
   std::size_t suspected_count(NodeIndex n) const {
-    return n < suspected_.size() ? suspected_[n].size() : 0;
+    if (n >= row_of_.size() || row_of_[n] == kNoRow) return 0;
+    return suspected_[row_of_[n]].size();
   }
 
   sim::Simulation& simulation() { return sim_; }
 
   const Config& config() const { return config_; }
 
-  // Resident bytes of the detector's per-node tables (the dense
-  // last-heard / suspicion rows) plus this object — feeds the
+  // Resident bytes of the detector's tables (slot rows, spill, beat row,
+  // suspicion sets, per-node flags) plus this object — feeds the
   // mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 
  private:
+  // One leafset slot of a node's heartbeat row (24 B): the member, its
+  // host, when the row's owner last heard from it (kNeverHeard before the
+  // first delivery) and the bus's base delay owner -> member, cached from
+  // the same Transport::BaseDelayMs the bus would charge per send (-1 when
+  // the bus has no oracle: the bus then resolves the fallback itself).
+  // `rev` is the owner's slot in the member's row, so the member's
+  // delivery stamps it without a search (kNoSlot when the owner is not in
+  // the member's leafset).
+  struct Slot {
+    std::uint32_t member;
+    std::uint32_t host : 24;
+    std::uint32_t rev : 8;
+    sim::Time heard;
+    sim::Time delay;
+  };
+  static_assert(sizeof(Slot) == 24, "heartbeat slots must stay compact");
+  // Per-row header: the leafset version the row was built from and the
+  // owner's host.
+  struct RowHead {
+    std::uint32_t version;
+    std::uint32_t host;
+  };
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;  // unused slot
+  static constexpr std::uint32_t kNoSlot = 0xffu;
+  static constexpr sim::Time kNeverHeard = -1.0;
+
   void SchedulePeriodic(NodeIndex n);
   // Batched beats: insert node n's first deadline into the cyclic beat
   // row, keeping the walker's wakeup aligned with the earliest entry.
@@ -149,8 +178,32 @@ class HeartbeatProtocol {
   void BeatSweep();
   void ScheduleSweep();
   void Beat(NodeIndex n);
-  void Deliver(NodeIndex from, NodeIndex to, sim::Time send_time);
-  void CheckTimeouts(NodeIndex n);
+  void Deliver(NodeIndex from, NodeIndex to, sim::Time send_time,
+               std::uint32_t rev);
+  void CheckTimeouts(NodeIndex n, std::uint32_t row);
+
+  // Node n's row index, creating the row on first use and rebuilding it
+  // when n's leafset version moved since it was built.
+  std::uint32_t RowFor(NodeIndex n) {
+    if (n < row_of_.size()) {
+      const std::uint32_t row = row_of_[n];
+      if (row != kNoRow && heads_[row].version == ring_.leafset_version(n))
+        return row;
+    }
+    return LayOutRow(n);
+  }
+  std::uint32_t LayOutRow(NodeIndex n);  // RowFor's create/rebuild path
+  Slot* SlotsOf(std::uint32_t row) { return rows_.data() + row * width_; }
+  // Lay out row `row` from n's current leafset: slot k < r holds the k-th
+  // successor, slot r + k the k-th predecessor unless it is also a
+  // successor. Heard times carry over from the previous layout (`fresh`
+  // false) and the spill; members that left the leafset spill theirs.
+  void BuildRow(NodeIndex n, std::uint32_t row, bool fresh);
+  // n's slot in member m's row (kNoSlot when n is not in m's leafset).
+  std::uint32_t ReverseSlot(NodeIndex m, NodeIndex n) const;
+  static std::uint64_t SpillKey(NodeIndex receiver, NodeIndex sender) {
+    return (static_cast<std::uint64_t>(receiver) << 32) | sender;
+  }
 
   // True when this instance schedules node n's timers and receives its
   // heartbeats (always true when unbound).
@@ -158,10 +211,10 @@ class HeartbeatProtocol {
     return shard_of_host_ == nullptr ||
            (*shard_of_host_)[ring_.node(n).host()] == shard_;
   }
-  // The instance owning node n (this, when unbound — the serial path).
-  HeartbeatProtocol* PeerForNode(NodeIndex n) {
+  // The instance owning host h (this, when unbound — the serial path).
+  HeartbeatProtocol* PeerForHost(std::size_t h) {
     if (shard_of_host_ == nullptr) return this;
-    return peers_[(*shard_of_host_)[ring_.node(n).host()]];
+    return peers_[(*shard_of_host_)[h]];
   }
 
   sim::Simulation& sim_;
@@ -174,12 +227,20 @@ class HeartbeatProtocol {
   const std::vector<std::uint32_t>* shard_of_host_ = nullptr;
   std::vector<HeartbeatProtocol*> peers_;
 
-  // last_heard_[n]: (member, last-heard sim time) sorted by member — a flat
-  // struct-of-arrays replacement for the old per-node hash map. Leafsets
-  // are small (2L entries), so binary search beats hashing, the rows pack
-  // cache-dense at 50k nodes, and iteration order is deterministic.
-  std::vector<std::vector<std::pair<NodeIndex, sim::Time>>> last_heard_;
-  std::vector<sim::Simulation::PeriodicToken> tokens_;
+  // Liveness state, one flat slot row per owned node (see Slot), so a
+  // beat walks one contiguous row and a delivery stamps one slot. The rows
+  // cache the (receiver, sender) -> last-heard mapping for each receiver's
+  // current leafset members; heard times of non-members (asymmetric
+  // leafsets after churn, members that left) live in spill_. Rows are
+  // created on first use, so an instance bound to one shard holds rows
+  // only for the nodes it owns.
+  std::size_t width_ = 0;                 // slots per row: 2r
+  std::vector<std::uint32_t> row_of_;     // node -> row index (kNoRow)
+  std::vector<RowHead> heads_;            // by row
+  std::vector<Slot> rows_;                // row r: [r * width_, +width_)
+  std::unordered_map<std::uint64_t, sim::Time> spill_;  // SpillKey -> heard
+  std::vector<Slot> scratch_;             // BuildRow's staging row
+  std::vector<sim::Simulation::PeriodicToken> tokens_;  // !batch_beats only
   // Batched beats (config_.batch_beats): the beat row, cyclically sorted
   // by next deadline — [beat_cursor_, end) then [0, beat_cursor_) is
   // ascending. The sweep advances each fired entry by one period in
@@ -190,8 +251,7 @@ class HeartbeatProtocol {
   std::size_t beat_cursor_ = 0;
   sim::EventId beat_walker_ = sim::kInvalidEventId;
   std::vector<char> detected_;  // dead nodes already processed
-  // suspected_[n] = members node n currently suspects, sorted
-  // (suspect_alive mode).
+  // suspected_[row] = members the row's node currently suspects, sorted.
   std::vector<std::vector<NodeIndex>> suspected_;
 
   std::vector<Observer> observers_;

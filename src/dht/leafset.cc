@@ -12,33 +12,35 @@ Leafset::Leafset(NodeId owner, std::size_t r) : owner_(owner), r_(r) {
 
 bool Leafset::Insert(NodeId id, NodeIndex node) {
   if (id == owner_) return false;
-  auto upsert = [&](std::vector<LeafsetEntry>& side, NodeId dist_ref,
-                    auto dist_fn) {
-    (void)dist_ref;
-    // Already present? refresh node index.
+  // Each side stays sorted by its own distance from the owner and never
+  // holds more than r entries (storage is reserved at exactly r): a
+  // candidate refreshes its entry, lands in order (evicting the farthest
+  // when the side is full), or is too far to keep. Distances of distinct
+  // ids differ, so the order is total.
+  const auto upsert = [&](std::vector<LeafsetEntry>& side, auto dist) {
     for (auto& e : side) {
       if (e.id == id) {
         e.node = node;
         return false;
       }
     }
-    side.push_back({id, node});
-    std::sort(side.begin(), side.end(),
-              [&](const LeafsetEntry& a, const LeafsetEntry& b) {
-                return dist_fn(a.id) < dist_fn(b.id);
-              });
-    if (side.size() > r_) {
-      side.resize(r_);
-      // The candidate may have been the one dropped.
-      return std::any_of(side.begin(), side.end(),
-                         [&](const LeafsetEntry& e) { return e.id == id; });
+    const NodeId d = dist(id);
+    if (side.size() == r_) {
+      if (d > dist(side.back().id)) return false;
+      side.pop_back();
+    } else if (side.capacity() < r_) {
+      side.reserve(r_);
     }
+    const auto pos = std::partition_point(
+        side.begin(), side.end(),
+        [&](const LeafsetEntry& e) { return dist(e.id) < d; });
+    side.insert(pos, {id, node});
     return true;
   };
-  const bool su = upsert(
-      succ_, owner_, [this](NodeId x) { return ClockwiseDistance(owner_, x); });
-  const bool pu = upsert(
-      pred_, owner_, [this](NodeId x) { return ClockwiseDistance(x, owner_); });
+  const bool su =
+      upsert(succ_, [this](NodeId x) { return ClockwiseDistance(owner_, x); });
+  const bool pu =
+      upsert(pred_, [this](NodeId x) { return ClockwiseDistance(x, owner_); });
   return su || pu;
 }
 
@@ -64,14 +66,19 @@ void Leafset::Clear() {
 std::vector<LeafsetEntry> Leafset::Members() const {
   std::vector<LeafsetEntry> all;
   all.reserve(succ_.size() + pred_.size());
-  all.insert(all.end(), succ_.begin(), succ_.end());
-  for (const auto& e : pred_) {
-    if (!std::any_of(all.begin(), all.end(),
-                     [&](const LeafsetEntry& x) { return x.id == e.id; })) {
-      all.push_back(e);
-    }
-  }
+  ForEachMember([&all](const LeafsetEntry& e) { all.push_back(e); });
   return all;
+}
+
+bool Leafset::InSuccessors(NodeId id) const {
+  // succ_ is sorted by clockwise distance, so an id farther clockwise than
+  // its last entry cannot be on that side — the common case for every
+  // predecessor once the ring holds more than 2r nodes.
+  if (succ_.empty() || ClockwiseDistance(owner_, id) >
+                           ClockwiseDistance(owner_, succ_.back().id))
+    return false;
+  return std::any_of(succ_.begin(), succ_.end(),
+                     [id](const LeafsetEntry& e) { return e.id == id; });
 }
 
 bool Leafset::Contains(NodeId id) const {

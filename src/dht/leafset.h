@@ -44,8 +44,20 @@ class Leafset {
   // Predecessor side: nodes counter-clockwise, nearest first.
   const std::vector<LeafsetEntry>& predecessors() const { return pred_; }
 
-  // All members, successors then predecessors (no particular global order).
+  // Visit every member once, successors then predecessors (no particular
+  // global order): a predecessor that is also a successor (tiny rings) is
+  // visited on the successor side only. `f(const LeafsetEntry&)`. The
+  // per-call iteration the protocols use — no allocation.
+  template <typename F>
+  void ForEachMember(F&& f) const {
+    for (const auto& e : succ_) f(e);
+    for (const auto& e : pred_)
+      if (!InSuccessors(e.id)) f(e);
+  }
+  // The same members in the same order, collected (tests, offline tools).
   std::vector<LeafsetEntry> Members() const;
+  // True iff `id` is on the successor side.
+  bool InSuccessors(NodeId id) const;
   std::size_t size() const { return succ_.size() + pred_.size(); }
   bool Contains(NodeId id) const;
 

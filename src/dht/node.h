@@ -30,7 +30,6 @@ class Node {
 
   NodeState state() const { return state_; }
   bool alive() const { return state_ == NodeState::kAlive; }
-  void set_state(NodeState s) { state_ = s; }
 
   // Re-key the node to a new id, discarding routing state (used only by
   // Ring::SwapNodeIds for SOMO's root-swap self-optimisation, §3.2: the
@@ -54,6 +53,11 @@ class Node {
   const PrefixTable& prefix() const { return prefix_; }
 
  private:
+  // Only the Ring changes liveness: it mirrors every change into its dense
+  // alive column (Ring::alive), which the hot paths read instead.
+  friend class Ring;
+  void set_state(NodeState s) { state_ = s; }
+
   NodeId id_;
   net::HostIdx host_;
   NodeState state_ = NodeState::kAlive;

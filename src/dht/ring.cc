@@ -20,7 +20,7 @@ void Ring::RefreshSorted() const {
   sorted_.clear();
   sorted_.reserve(alive_count_);
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive()) sorted_.push_back({nodes_[i].id(), i});
+    if (alive_[i]) sorted_.push_back({nodes_[i].id(), i});
   }
   std::sort(sorted_.begin(), sorted_.end(),
             [](const LeafsetEntry& a, const LeafsetEntry& b) {
@@ -39,23 +39,48 @@ std::vector<NodeIndex> Ring::SortedAlive() const {
 
 void Ring::FillLeafsetFromSorted(NodeIndex n) {
   RefreshSorted();
-  Node& x = nodes_[n];
-  x.leafset().Clear();
+  Leafset& ls = nodes_[n].leafset();
   const std::size_t m = sorted_.size();
-  if (m <= 1) return;
-  // Position of x in the sorted order.
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), x.id(),
-      [](const LeafsetEntry& e, NodeId id) { return e.id < id; });
-  P2P_CHECK(it != sorted_.end() && it->id == x.id());
-  const std::size_t pos = static_cast<std::size_t>(it - sorted_.begin());
-  const std::size_t take = std::min(per_side_, m - 1);
+  std::size_t pos = 0;
+  std::size_t take = 0;
+  if (m > 1) {
+    // Position of n in the sorted order.
+    const NodeId id = nodes_[n].id();
+    const auto it = std::lower_bound(
+        sorted_.begin(), sorted_.end(), id,
+        [](const LeafsetEntry& e, NodeId v) { return e.id < v; });
+    P2P_CHECK(it != sorted_.end() && it->id == id);
+    pos = static_cast<std::size_t>(it - sorted_.begin());
+    take = std::min(per_side_, m - 1);
+  }
+  // The refill below always yields succ = the `take` nearest clockwise and
+  // pred = the `take` nearest counter-clockwise, so a leafset that already
+  // matches is converged: skip the rewrite and keep the version.
+  const auto& succ = ls.successors();
+  const auto& pred = ls.predecessors();
+  bool same = succ.size() == take && pred.size() == take;
+  for (std::size_t k = 1; same && k <= take; ++k) {
+    const auto& s = sorted_[(pos + k) % m];
+    const auto& p = sorted_[(pos + m - k) % m];
+    same = succ[k - 1].id == s.id && succ[k - 1].node == s.node &&
+           pred[k - 1].id == p.id && pred[k - 1].node == p.node;
+  }
+  if (same) return;
+  ls.Clear();
   for (std::size_t k = 1; k <= take; ++k) {
     const auto& s = sorted_[(pos + k) % m];
     const auto& p = sorted_[(pos + m - k) % m];
-    x.leafset().Insert(s.id, s.node);
-    x.leafset().Insert(p.id, p.node);
+    ls.Insert(s.id, s.node);
+    ls.Insert(p.id, p.node);
   }
+  ++leafset_version_[n];
+}
+
+void Ring::AddNode(NodeId id, net::HostIdx host) {
+  nodes_.emplace_back(id, host, per_side_);
+  alive_.push_back(1);
+  leafset_version_.push_back(0);
+  ++alive_count_;
 }
 
 NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
@@ -65,15 +90,14 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
       [](const LeafsetEntry& e, NodeId v) { return e.id < v; });
   P2P_CHECK_MSG(it == sorted_.end() || it->id != id,
                 "duplicate node id " << id);
-  nodes_.emplace_back(id, host, per_side_);
+  AddNode(id, host);
   const NodeIndex n = nodes_.size() - 1;
-  ++alive_count_;
   sorted_dirty_ = true;
 
   // Bring the joiner and the 2r nodes around it to converged leafsets.
   FillLeafsetFromSorted(n);
-  for (const auto& e : nodes_[n].leafset().Members())
-    FillLeafsetFromSorted(e.node);
+  nodes_[n].leafset().ForEachMember(
+      [this](const LeafsetEntry& e) { FillLeafsetFromSorted(e.node); });
   BuildFingers(n);
   BuildPrefixTable(n);
   return n;
@@ -121,11 +145,12 @@ NodeIndex Ring::JoinBatchHashed(net::HostIdx first_host, std::size_t count,
   }
   const NodeIndex first = nodes_.size();
   nodes_.reserve(nodes_.size() + count);
+  alive_.reserve(nodes_.size() + count);
+  leafset_version_.reserve(nodes_.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
     NodeId id = first_choice[i];
     while (!used.insert(id).second) id = util::Mix64(id);
-    nodes_.emplace_back(id, first_host + i, per_side_);
-    ++alive_count_;
+    AddNode(id, first_host + i);
   }
   sorted_dirty_ = true;
   StabilizeAll();
@@ -136,6 +161,7 @@ void Ring::Leave(NodeIndex n) {
   Node& x = nodes_.at(n);
   P2P_CHECK_MSG(x.alive(), "node " << n << " is not alive");
   x.set_state(NodeState::kLeft);
+  alive_[n] = 0;
   --alive_count_;
   sorted_dirty_ = true;
   // Graceful: neighbours drop the node and refill immediately.
@@ -146,6 +172,7 @@ void Ring::Fail(NodeIndex n) {
   Node& x = nodes_.at(n);
   P2P_CHECK_MSG(x.alive(), "node " << n << " is not alive");
   x.set_state(NodeState::kFailed);
+  alive_[n] = 0;
   --alive_count_;
   sorted_dirty_ = true;
   // Stale entries remain in neighbours' tables until DetectFailure.
@@ -153,13 +180,14 @@ void Ring::Fail(NodeIndex n) {
 
 void Ring::DetectFailure(NodeIndex n) {
   const NodeId dead_id = nodes_.at(n).id();
-  P2P_CHECK(!nodes_[n].alive());
+  P2P_CHECK(!alive_[n]);
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    if (i == n || !nodes_[i].alive()) continue;
+    if (i == n || !alive_[i]) continue;
     Node& y = nodes_[i];
     y.fingers().Invalidate(n);
     y.prefix().Invalidate(n);
     if (y.leafset().Remove(dead_id)) {
+      ++leafset_version_[i];
       // Lost a leafset member: refill from converged membership (stands in
       // for the leafset-merge repair exchange of the real protocol).
       FillLeafsetFromSorted(i);
@@ -206,14 +234,14 @@ RouteResult Ring::Route(NodeIndex from, NodeId key) const {
     const NodeIndex alive_succ = [&]() -> NodeIndex {
       NodeIndex best = kNoNode;
       NodeId best_dist = 0;
-      for (const auto& e : x.leafset().Members()) {
-        if (!nodes_[e.node].alive()) continue;
+      x.leafset().ForEachMember([&](const LeafsetEntry& e) {
+        if (!alive_[e.node]) return;
         const NodeId d = ClockwiseDistance(key, e.id);
         if (best == kNoNode || d < best_dist) {
           best = e.node;
           best_dist = d;
         }
-      }
+      });
       return best;
     }();
     // Last mile: when the leafset covers the key, the member that is the
@@ -224,18 +252,18 @@ RouteResult Ring::Route(NodeIndex from, NodeId key) const {
     if (next == kNoNode) {
       if (geometry_ == RoutingGeometry::kChordFingers) {
         const NodeIndex f = x.fingers().ClosestPreceding(key);
-        if (f != kNoNode && nodes_[f].alive()) next = f;
+        if (f != kNoNode && alive_[f]) next = f;
       } else {
         // Pastry: correct the next mismatched digit.
         const LeafsetEntry& e = x.prefix().EntryFor(key);
-        if (e.node != kNoNode && nodes_[e.node].alive() && e.node != cur)
+        if (e.node != kNoNode && alive_[e.node] && e.node != cur)
           next = e.node;
       }
     }
     // Fall back to any leafset member that makes clockwise progress.
     if (next == kNoNode) {
       const NodeIndex c = x.leafset().ClosestTo(key);
-      if (c != kNoNode && nodes_[c].alive()) next = c;
+      if (c != kNoNode && alive_[c]) next = c;
     }
     // Dead-end repair: hop to the key's successor among alive leafset
     // members even without strict progress (mirrors the leafset-repair
@@ -248,7 +276,7 @@ RouteResult Ring::Route(NodeIndex from, NodeId key) const {
     // driven leafset repair and re-routing).
     if ((next == kNoNode || next == last) && res.hops > 0) {
       for (const auto& e : x.leafset().successors()) {
-        if (nodes_[e.node].alive() && e.node != last) {
+        if (alive_[e.node] && e.node != last) {
           next = e.node;
           break;
         }
@@ -386,6 +414,8 @@ void Ring::SwapNodeIds(NodeIndex a, NodeIndex b) {
   const NodeId idb = nb.id();
   na.ResetRoutingState(idb);
   nb.ResetRoutingState(ida);
+  ++leafset_version_[a];
+  ++leafset_version_[b];
   sorted_dirty_ = true;
   // Leafsets referencing either node by its old id must be re-pointed; the
   // set of affected nodes is the union of the 2r-neighbourhoods of both
@@ -403,6 +433,8 @@ std::size_t Ring::MemoryBytes() const {
     total += x.prefix().HeapBytes();
   }
   total += sorted_.capacity() * sizeof(LeafsetEntry);
+  total += alive_.capacity() * sizeof(std::uint8_t);
+  total += leafset_version_.capacity() * sizeof(std::uint32_t);
   return total;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -129,6 +130,17 @@ class Ring {
   std::size_t MemoryBytes() const;
   Node& node(NodeIndex n) { return nodes_.at(n); }
   const Node& node(NodeIndex n) const { return nodes_.at(n); }
+
+  // Dense liveness column: node(n).alive() without touching the Node
+  // record. The hot paths (heartbeats, routing, failure cleanup) read this.
+  bool alive(NodeIndex n) const { return alive_[n] != 0; }
+  // Bumped on every change to node n's leafset (join refills, failure
+  // removal and refill, id swaps). Consumers that cache per-leafset state
+  // (the heartbeat slot rows) rebuild a node's cache only when its own
+  // version moved.
+  std::uint32_t leafset_version(NodeIndex n) const {
+    return leafset_version_[n];
+  }
   const net::LatencyOracle* oracle() const { return oracle_; }
 
   // Optional per-hop route tracing: when set, Route() appends one kRouting
@@ -156,8 +168,12 @@ class Ring {
 
  private:
   void RefreshSorted() const;
-  // Converged leafset of node n given the current alive membership.
+  // Converged leafset of node n given the current alive membership. A
+  // leafset that already holds exactly that is left alone (its version
+  // does not move).
   void FillLeafsetFromSorted(NodeIndex n);
+  // Append the per-node columns for a newly created node.
+  void AddNode(NodeId id, net::HostIdx host);
 
   std::size_t per_side_;
   util::ThreadPool* pool_ = nullptr;
@@ -169,6 +185,10 @@ class Ring {
   obs::Counter* leafset_repairs_ = nullptr;
   RoutingGeometry geometry_;
   std::vector<Node> nodes_;
+  // Per-node columns beside nodes_: liveness (mirrors Node::state) and
+  // leafset version (see leafset_version()).
+  std::vector<std::uint8_t> alive_;
+  std::vector<std::uint32_t> leafset_version_;
   std::size_t alive_count_ = 0;
   // Cache of alive (id, index) sorted by id; invalidated on membership
   // change.

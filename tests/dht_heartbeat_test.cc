@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "dht/churn.h"
 #include "dht/heartbeat.h"
 #include "dht/ring.h"
+#include "net/latency_oracle.h"
+#include "net/shard_plan.h"
+#include "net/transit_stub.h"
+#include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "test_support.h"
 
 namespace p2p::dht {
 namespace {
@@ -219,6 +227,359 @@ TEST(Heartbeat, StopCancelsBatchedWalker) {
   hb.Stop();
   f.sim.RunUntil(10000.0);
   EXPECT_EQ(hb.heartbeats_sent(), sent);
+}
+
+// ------------------------------------------------------ Differential --
+//
+// Pins of the heartbeat detector's complete observable output: the ordered
+// delivery, suspicion and failure streams, every dht.heartbeat.* counter
+// and the final per-node suspect-set sizes, folded into one FNV-1a digest
+// per scenario. The expected digests were recorded from the sorted
+// per-receiver last-heard rows that the flat slot rows replaced; a layout
+// change that moves any byte of any stream fails here.
+
+class StreamDigest {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void AddTime(double t) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof bits);
+    Add(bits);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+void Tap(HeartbeatProtocol& hb, StreamDigest& d) {
+  hb.AddObserver([&d](NodeIndex from, NodeIndex to, sim::Time s,
+                      sim::Time r) {
+    d.Add('B');
+    d.Add(from);
+    d.Add(to);
+    d.AddTime(s);
+    d.AddTime(r);
+  });
+  hb.AddFailureObserver([&d](NodeIndex det, NodeIndex dead, sim::Time when) {
+    d.Add('F');
+    d.Add(det);
+    d.Add(dead);
+    d.AddTime(when);
+  });
+  hb.AddSuspicionObserver(
+      [&d](NodeIndex det, NodeIndex sus, sim::Time when, bool was_alive) {
+        d.Add('S');
+        d.Add(det);
+        d.Add(sus);
+        d.AddTime(when);
+        d.Add(was_alive ? 1 : 0);
+      });
+}
+
+void Seal(const HeartbeatProtocol& hb, sim::Simulation& sim, const Ring& ring,
+          StreamDigest& d) {
+  d.Add(hb.heartbeats_sent());
+  d.Add(hb.heartbeats_delivered());
+  d.Add(hb.failures_detected());
+  d.Add(hb.suspicions());
+  d.Add(hb.false_suspicions());
+  for (const char* name :
+       {"dht.heartbeat.sent", "dht.heartbeat.delivered",
+        "dht.heartbeat.failures_detected", "dht.heartbeat.suspicions",
+        "dht.heartbeat.false_suspicions", "dht.heartbeat.suspicion_clears"})
+    d.AddTime(sim.metrics().Value(name));
+  for (NodeIndex n = 0; n < ring.size(); ++n) d.Add(hb.suspected_count(n));
+}
+
+// A small transit-stub substrate with its exact oracle, so heartbeats ride
+// real, per-edge host-to-host delays.
+struct Substrate {
+  net::TransitStubTopology topo;
+  net::LatencyOracle oracle;
+  explicit Substrate(std::size_t hosts, std::uint64_t seed = 5)
+      : topo([&] {
+          util::Rng rng(seed);
+          return net::GenerateTransitStub(
+              p2p::testing::SmallTopologyParams(hosts), rng);
+        }()),
+        oracle(topo) {}
+};
+
+HeartbeatConfig FastConfig() {
+  HeartbeatConfig cfg;
+  cfg.period_ms = 500.0;
+  cfg.timeout_ms = 1600.0;
+  return cfg;
+}
+
+struct DigestRun {
+  std::uint64_t digest = 0;
+  std::size_t delivered = 0;
+  std::size_t failures = 0;
+  std::size_t suspicions = 0;
+  std::size_t non_member_deliveries = 0;
+};
+
+DigestRun ConvergedRing() {
+  Substrate sub(96);
+  sim::Simulation sim(7);
+  Ring ring(16, &sub.oracle);
+  for (std::size_t h = 0; h < 96; ++h) ring.JoinHashed(h);
+  HeartbeatProtocol hb(sim, ring, FastConfig());
+  StreamDigest d;
+  Tap(hb, d);
+  hb.Start();
+  sim.RunUntil(6000.0);
+  Seal(hb, sim, ring, d);
+  return {d.value(), hb.heartbeats_delivered(), hb.failures_detected(),
+          hb.suspicions(), 0};
+}
+
+DigestRun ChurnWithLossAndSuspicion() {
+  Substrate sub(120);
+  sim::Simulation sim(11);
+  Ring ring(16, &sub.oracle);
+  ring.JoinBatchHashed(0, 80);
+  HeartbeatConfig cfg = FastConfig();
+  cfg.suspect_alive = true;
+  HeartbeatProtocol hb(sim, ring, cfg);
+  sim.transport().faults().loss_probability = 0.01;
+  ChurnProcess::Config churn_cfg;
+  churn_cfg.mean_fail_interval_ms = 400.0;
+  churn_cfg.mean_join_interval_ms = 400.0;
+  for (std::size_t h = 80; h < 120; ++h) churn_cfg.join_hosts.push_back(h);
+  ChurnProcess churn(sim, ring, churn_cfg, &hb);
+  StreamDigest d;
+  Tap(hb, d);
+  hb.Start();
+  sim.RunUntil(1500.0);
+  churn.Start();
+  sim.RunUntil(15000.0);
+  churn.Stop();
+  sim.RunUntil(18000.0);
+  Seal(hb, sim, ring, d);
+  d.Add(churn.joins());
+  d.Add(churn.failures());
+  return {d.value(), hb.heartbeats_delivered(), hb.failures_detected(),
+          hb.suspicions(), 0};
+}
+
+DigestRun SensorModeWithExternalRepair() {
+  Substrate sub(48);
+  sim::Simulation sim(13);
+  Ring ring(16, &sub.oracle);
+  for (std::size_t h = 0; h < 48; ++h) ring.JoinHashed(h);
+  HeartbeatConfig cfg = FastConfig();
+  cfg.suspect_alive = true;
+  cfg.auto_repair = false;
+  HeartbeatProtocol hb(sim, ring, cfg);
+  StreamDigest d;
+  Tap(hb, d);
+  hb.Start();
+  sim.RunUntil(2000.0);
+  ring.Fail(5);
+  ring.Fail(17);
+  sim.RunUntil(5000.0);
+  ring.DetectFailure(5);
+  sim.RunUntil(9000.0);
+  ring.DetectFailure(17);
+  sim.RunUntil(11000.0);
+  Seal(hb, sim, ring, d);
+  return {d.value(), hb.heartbeats_delivered(), hb.failures_detected(),
+          hb.suspicions(), 0};
+}
+
+DigestRun SwapNodeIdsMidRun() {
+  Substrate sub(48);
+  sim::Simulation sim(17);
+  Ring ring(16, &sub.oracle);
+  for (std::size_t h = 0; h < 48; ++h) ring.JoinHashed(h);
+  HeartbeatProtocol hb(sim, ring, FastConfig());
+  StreamDigest d;
+  Tap(hb, d);
+  hb.Start();
+  sim.RunUntil(2500.0);
+  ring.SwapNodeIds(3, 20);
+  sim.RunUntil(5000.0);
+  ring.Fail(20);
+  sim.RunUntil(9000.0);
+  Seal(hb, sim, ring, d);
+  return {d.value(), hb.heartbeats_delivered(), hb.failures_detected(),
+          hb.suspicions(), 0};
+}
+
+DigestRun TwoShardBoundRun(std::size_t threads) {
+  Substrate sub(96);
+  net::ShardPlan plan = net::PlanShards(sub.topo, 2);
+  net::ExtractLookahead(sub.topo, sub.oracle, plan);
+  sim::ShardedOptions opts;
+  opts.shards = 2;
+  opts.lookahead_ms = plan.lookahead_ms;
+  opts.lookahead_matrix = plan.lookahead_matrix;
+  opts.seed = 23;
+  opts.threads = threads;
+  sim::ShardedSimulation ssim(opts);
+  ssim.SetHostShards(plan.shard_of_host);
+  Ring ring(16, &sub.oracle);
+  ring.JoinBatchHashed(0, 96);
+  HeartbeatConfig cfg = FastConfig();
+  cfg.suspect_alive = true;
+  std::vector<std::unique_ptr<HeartbeatProtocol>> hbs;
+  StreamDigest per_shard[2];
+  for (std::size_t s = 0; s < 2; ++s) {
+    ssim.shard(s).transport().faults().jitter_ms = 1.0;
+    hbs.push_back(std::make_unique<HeartbeatProtocol>(ssim.shard(s), ring,
+                                                      cfg));
+    Tap(*hbs[s], per_shard[s]);
+  }
+  for (std::size_t s = 0; s < 2; ++s)
+    hbs[s]->BindShard(static_cast<std::uint32_t>(s), &ssim.host_shards(),
+                      {hbs[0].get(), hbs[1].get()});
+  for (auto& hb : hbs) hb->Start();
+  ssim.RunUntil(6000.0);
+  StreamDigest d;
+  DigestRun run;
+  for (std::size_t s = 0; s < 2; ++s) {
+    Seal(*hbs[s], ssim.shard(s), ring, per_shard[s]);
+    d.Add(per_shard[s].value());
+    run.delivered += hbs[s]->heartbeats_delivered();
+    run.suspicions += hbs[s]->suspicions();
+  }
+  d.Add(ssim.cross_shard_messages());
+  run.digest = d.value();
+  return run;
+}
+
+DigestRun AsymmetricLeafsets() {
+  // A crash followed, before detection, by a join two places past the
+  // dead node d: the join refills the joiner's neighbourhood from live
+  // membership (d's successors then reach one node further back), while
+  // d's farthest predecessors are not refilled and still count d — so
+  // those successors heartbeat nodes whose leafsets do not list them.
+  Substrate sub(48);
+  sim::Simulation sim(19);
+  Ring ring(8, &sub.oracle);
+  for (std::size_t h = 0; h < 32; ++h) ring.JoinHashed(h);
+  HeartbeatProtocol hb(sim, ring, FastConfig());
+  StreamDigest d;
+  Tap(hb, d);
+  std::size_t non_member = 0;
+  hb.AddObserver([&](NodeIndex from, NodeIndex to, sim::Time, sim::Time) {
+    if (!ring.node(to).leafset().Contains(ring.node(from).id())) ++non_member;
+  });
+  hb.Start();
+  sim.RunUntil(1500.0);
+  ring.Fail(7);
+  const auto& succ = ring.node(7).leafset().successors();
+  const NodeId b2 = succ[1].id;
+  const NodeId b3 = succ[2].id;
+  const NodeIndex joiner =
+      ring.Join(40, b2 + ClockwiseDistance(b2, b3) / 2);
+  hb.OnNodeJoined(joiner);
+  sim.RunUntil(6000.0);
+  Seal(hb, sim, ring, d);
+  return {d.value(), hb.heartbeats_delivered(), hb.failures_detected(),
+          hb.suspicions(), non_member};
+}
+
+TEST(HeartbeatDifferential, ConvergedRing) {
+  const DigestRun r = ConvergedRing();
+  EXPECT_GT(r.delivered, 0u);
+  EXPECT_EQ(r.failures, 0u);
+  EXPECT_EQ(r.digest, 0xaca602db98ec704full) << std::hex << r.digest;
+}
+
+TEST(HeartbeatDifferential, ChurnWithLossAndSuspicion) {
+  const DigestRun r = ChurnWithLossAndSuspicion();
+  EXPECT_GT(r.failures, 0u);
+  EXPECT_GT(r.suspicions, r.failures);  // loss starves some live members
+  EXPECT_EQ(r.digest, 0xf698949c314d0c0dull) << std::hex << r.digest;
+}
+
+TEST(HeartbeatDifferential, SensorModeWithExternalRepair) {
+  const DigestRun r = SensorModeWithExternalRepair();
+  EXPECT_EQ(r.failures, 2u);
+  EXPECT_EQ(r.digest, 0x06379abea58936daull) << std::hex << r.digest;
+}
+
+TEST(HeartbeatDifferential, SwapNodeIdsMidRun) {
+  const DigestRun r = SwapNodeIdsMidRun();
+  EXPECT_EQ(r.failures, 1u);
+  EXPECT_EQ(r.digest, 0x948038a41ba1a004ull) << std::hex << r.digest;
+}
+
+TEST(HeartbeatDifferential, TwoShardBoundRun) {
+  const DigestRun serialised = TwoShardBoundRun(1);
+  const DigestRun threaded = TwoShardBoundRun(2);
+  EXPECT_GT(serialised.delivered, 0u);
+  EXPECT_EQ(serialised.digest, threaded.digest);
+  EXPECT_EQ(serialised.digest, 0xe4406068f76cc445ull)
+      << std::hex << serialised.digest;
+}
+
+TEST(HeartbeatDifferential, AsymmetricLeafsetSpill) {
+  const DigestRun r = AsymmetricLeafsets();
+  EXPECT_GT(r.non_member_deliveries, 0u);  // the spill path ran
+  EXPECT_EQ(r.failures, 1u);
+  EXPECT_EQ(r.digest, 0x5984ac3e40746df1ull) << std::hex << r.digest;
+}
+
+// A hard gate on a deterministic count: an instance bound to one shard
+// holds slot rows, suspicion sets and beat entries only for the nodes that
+// shard owns, so the detector's bytes summed over two shards stay within
+// 10% of the serial instance's (only the per-node flag columns repeat).
+TEST(HeartbeatMemory, TwoShardsStayWithinTenPercentOfSerial) {
+  util::Rng topo_rng(3);
+  const net::TransitStubTopology topo = net::GenerateTransitStub(
+      net::PresetParams(net::TopologyPreset::kPaper1200), topo_rng);
+  net::OracleOptions oracle_opts;
+  oracle_opts.kind = net::OracleKind::kHierarchical;
+  const net::LatencyOracle oracle(topo, oracle_opts);
+  const auto bytes = [&](std::size_t shards) {
+    net::ShardPlan plan = net::PlanShards(topo, shards);
+    if (shards > 1) net::ExtractLookahead(topo, oracle, plan);
+    sim::ShardedOptions opts;
+    opts.shards = shards;
+    opts.lookahead_ms = plan.lookahead_ms;
+    opts.lookahead_matrix = plan.lookahead_matrix;
+    opts.seed = 29;
+    sim::ShardedSimulation ssim(opts);
+    ssim.SetHostShards(plan.shard_of_host);
+    Ring ring(32, &oracle);
+    ring.JoinBatchHashed(0, topo.host_count());
+    std::vector<std::unique_ptr<HeartbeatProtocol>> hbs;
+    std::vector<HeartbeatProtocol*> peers;
+    for (std::size_t s = 0; s < shards; ++s) {
+      hbs.push_back(std::make_unique<HeartbeatProtocol>(ssim.shard(s), ring));
+      peers.push_back(hbs.back().get());
+    }
+    if (shards > 1) {
+      for (std::size_t s = 0; s < shards; ++s)
+        hbs[s]->BindShard(static_cast<std::uint32_t>(s), &ssim.host_shards(),
+                          peers);
+    }
+    for (auto& hb : hbs) hb->Start();
+    ssim.RunUntil(3000.0);
+    std::size_t total = 0, delivered = 0;
+    for (const auto& hb : hbs) {
+      total += hb->MemoryBytes();
+      delivered += hb->heartbeats_delivered();
+    }
+    EXPECT_GT(delivered, 0u);
+    return total;
+  };
+  const std::size_t serial = bytes(1);
+  const std::size_t two = bytes(2);
+  // The slot rows dominate: 2r slots of 24 B for each of the 1200 nodes.
+  EXPECT_GE(serial, std::size_t{1200} * 32 * 24);
+  EXPECT_LE(two * 10, serial * 11)
+      << "two shards hold " << two << " B against " << serial << " B serial";
 }
 
 // ---------------------------------------------------------------- Churn --

@@ -115,3 +115,28 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "python3 not found; skipping network substrate check"
 fi
+
+# Real-workload per-event cost: perfbench's fullstack_10k (the shipping
+# heartbeat + SOMO + transport stack at 10k hosts, serial) with its
+# per-layer table. sim.ns_per_event is the run phase's wall time over its
+# events; it was ~1070 ns before heartbeat liveness moved to flat slot rows
+# and ~700 ns after, on a 4-CPU host. Warn-only, like every wall-clock
+# gate here; set FULLSTACK_MAX_NS_PER_EVENT to move the threshold.
+max_ns_per_event=${FULLSTACK_MAX_NS_PER_EVENT:-800}
+if command -v python3 >/dev/null 2>&1; then
+  if fullstack_out=$(python3 "$repo_root/perfbench/run.py" \
+      --workload fullstack_10k --trace 1 --seconds 15); then
+    printf '%s\n' "$fullstack_out" | tail -n 1 | python3 -c '
+import json, sys
+limit = float(sys.argv[1])
+ns = json.loads(sys.stdin.read())["metrics"]["sim.ns_per_event"]["value"]
+print("fullstack_10k sim.ns_per_event %.0f ns (threshold %.0f)" % (ns, limit))
+sys.exit(0 if ns <= limit else 1)
+' "$max_ns_per_event" \
+      || echo "WARNING: fullstack_10k ns/event above ${max_ns_per_event} — inspect .bench_build/results/"
+  else
+    echo "WARNING: perfbench fullstack_10k run failed — inspect .bench_build/build.log"
+  fi
+else
+  echo "python3 not found; skipping the fullstack_10k ns/event check"
+fi
