@@ -175,12 +175,15 @@ void Ring::Fail(NodeIndex n) {
   alive_[n] = 0;
   --alive_count_;
   sorted_dirty_ = true;
+  undetected_.push_back({x.id(), n});
   // Stale entries remain in neighbours' tables until DetectFailure.
 }
 
 void Ring::DetectFailure(NodeIndex n) {
   const NodeId dead_id = nodes_.at(n).id();
   P2P_CHECK(!alive_[n]);
+  std::erase_if(undetected_,
+                [n](const LeafsetEntry& e) { return e.node == n; });
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
     if (i == n || !alive_[i]) continue;
     Node& y = nodes_[i];
@@ -189,8 +192,12 @@ void Ring::DetectFailure(NodeIndex n) {
     if (y.leafset().Remove(dead_id)) {
       ++leafset_version_[i];
       // Lost a leafset member: refill from converged membership (stands in
-      // for the leafset-merge repair exchange of the real protocol).
+      // for the leafset-merge repair exchange of the real protocol). Crashed
+      // nodes not yet detected are still members to their neighbours, so
+      // they are offered too and stay monitored until their own detection.
       FillLeafsetFromSorted(i);
+      for (const LeafsetEntry& u : undetected_)
+        y.leafset().Insert(u.id, u.node);
       if (leafset_repairs_ != nullptr) leafset_repairs_->Inc();
     }
   }
@@ -323,6 +330,7 @@ void Ring::StabilizeAll() {
   // reads it (and writes that node's own tables), so the loop is safe to
   // fan out across the pool and lands on identical state either way.
   RefreshSorted();
+  undetected_.clear();
   const std::size_t m = sorted_.size();
   const auto rebuild = [this](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
@@ -433,6 +441,7 @@ std::size_t Ring::MemoryBytes() const {
     total += x.prefix().HeapBytes();
   }
   total += sorted_.capacity() * sizeof(LeafsetEntry);
+  total += undetected_.capacity() * sizeof(LeafsetEntry);
   total += alive_.capacity() * sizeof(std::uint8_t);
   total += leafset_version_.capacity() * sizeof(std::uint32_t);
   return total;

@@ -78,11 +78,13 @@ class Ring {
   // Graceful departure: neighbours drop the node immediately.
   void Leave(NodeIndex n);
   // Crash: the node stops responding but neighbours keep stale entries
-  // until DetectFailure (heartbeat timeout) or RepairAll.
+  // until DetectFailure (heartbeat timeout) or StabilizeAll.
   void Fail(NodeIndex n);
   // Neighbour-side cleanup after a failure has been detected: removes the
   // dead node from all leafsets/fingers that reference it and refills the
-  // affected leafsets.
+  // affected leafsets from the alive nodes plus the crashed nodes nobody
+  // has detected yet — those stay listed, and so monitored, until their
+  // own detection.
   void DetectFailure(NodeIndex n);
 
   // --- lookup & routing ---------------------------------------------------
@@ -98,7 +100,8 @@ class Ring {
   // --- maintenance --------------------------------------------------------
 
   // Recompute every alive node's leafset and fingers from the alive set
-  // (the state a converged maintenance protocol reaches). With a thread
+  // (the state a converged maintenance protocol reaches; crashed nodes not
+  // yet detected count as repaired and leave every leafset). With a thread
   // pool attached (set_thread_pool), per-node rebuilds fan out across the
   // pool — each node writes only its own tables against the shared sorted
   // snapshot, so the result is schedule-invariant and identical to the
@@ -190,6 +193,8 @@ class Ring {
   std::vector<std::uint8_t> alive_;
   std::vector<std::uint32_t> leafset_version_;
   std::size_t alive_count_ = 0;
+  // Crashed nodes DetectFailure has not processed yet, in crash order.
+  std::vector<LeafsetEntry> undetected_;
   // Cache of alive (id, index) sorted by id; invalidated on membership
   // change.
   mutable std::vector<LeafsetEntry> sorted_;
