@@ -97,5 +97,28 @@ TEST(Leafset, ClearEmptiesBothSides) {
   EXPECT_EQ(ls.successor(), kNoNode);
 }
 
+TEST(Leafset, SidesKeepRNearestInAnyInsertOrderWithExactStorage) {
+  // Candidates 1000 + 7k (node k) and 1000 - 7k (node 100 + k), k = 1..40,
+  // offered in a scrambled order: each side must end as its r nearest,
+  // nearest first, and never hold more than r entries of storage.
+  Leafset ls(1000, 3);
+  for (NodeIndex i = 0; i < 80; ++i) {
+    const NodeIndex c = (i * 37) % 80;  // 37 is coprime to 80
+    const NodeIndex k = c / 2 + 1;
+    if (c % 2 == 0) {
+      ls.Insert(1000 + 7 * k, k);
+    } else {
+      ls.Insert(1000 - 7 * k, 100 + k);
+    }
+  }
+  ASSERT_EQ(ls.successors().size(), 3u);
+  ASSERT_EQ(ls.predecessors().size(), 3u);
+  for (NodeIndex k = 1; k <= 3; ++k) {
+    EXPECT_EQ(ls.successors()[k - 1].node, k);
+    EXPECT_EQ(ls.predecessors()[k - 1].node, 100 + k);
+  }
+  EXPECT_EQ(ls.HeapBytes(), 2 * 3 * sizeof(LeafsetEntry));
+}
+
 }  // namespace
 }  // namespace p2p::dht
