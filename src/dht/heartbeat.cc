@@ -48,7 +48,7 @@ void HeartbeatProtocol::Start() {
   if (ring_.oracle() != nullptr) sim_.transport().set_oracle(ring_.oracle());
   width_ = ring_.leafset_size();
   P2P_CHECK_MSG(width_ < kNoSlot, "leafset too large for heartbeat slots");
-  row_of_.resize(ring_.size(), kNoRow);
+  row_of_.assign(ring_.size(), kNoRow);
   detected_.assign(ring_.size(), 0);
   std::size_t owned = 0;
   for (NodeIndex n = 0; n < ring_.size(); ++n) {
@@ -59,7 +59,7 @@ void HeartbeatProtocol::Start() {
   // Rows themselves are laid out lazily, on each node's first beat or
   // delivery; only the storage is sized here, to the nodes this instance
   // owns.
-  row_built_.reserve(owned);
+  heads_.reserve(owned);
   suspected_.reserve(owned);
   rows_.reserve(owned * width_);
 }
@@ -177,9 +177,9 @@ std::uint32_t HeartbeatProtocol::LayOutRow(NodeIndex n) {
   if (n >= row_of_.size()) row_of_.resize(n + 1, kNoRow);
   std::uint32_t row = row_of_[n];
   if (row == kNoRow) {
-    row = static_cast<std::uint32_t>(row_built_.size());
+    row = static_cast<std::uint32_t>(heads_.size());
     row_of_[n] = row;
-    row_built_.push_back(0);
+    heads_.push_back({0, 0});
     suspected_.emplace_back();
     if (rows_.size() + width_ > rows_.capacity()) {
       // Joins past the owned count reserved at Start: grow by a sixteenth,
@@ -256,7 +256,7 @@ void HeartbeatProtocol::BuildRow(NodeIndex n, std::uint32_t row, bool fresh) {
     }
   }
   std::copy(scratch_.begin(), scratch_.end(), old);
-  row_built_[row] = ring_.leafset_epoch();
+  heads_[row] = {ring_.leafset_version(n), static_cast<std::uint32_t>(src)};
 }
 
 void HeartbeatProtocol::Beat(NodeIndex n) {
@@ -264,12 +264,11 @@ void HeartbeatProtocol::Beat(NodeIndex n) {
   const sim::Time now = sim_.now();
   const std::uint32_t row = RowFor(n);
   sim::Message msg;
-  msg.src_host = ring_.node(n).host();
+  msg.src_host = heads_[row].host;
   msg.protocol = sim::Protocol::kHeartbeat;
   msg.bytes = kHeartbeatBytes;
   sim::SendOptions opts;
   opts.fallback_delay_ms = config_.default_delay_ms;
-  const std::uint64_t built = row_built_[row];
   const Slot* slots = SlotsOf(row);
   for (std::size_t k = 0; k < width_; ++k) {
     const Slot& s = slots[k];
@@ -285,18 +284,14 @@ void HeartbeatProtocol::Beat(NodeIndex n) {
     // unbound, so the serial path is unchanged.
     HeartbeatProtocol* peer = PeerForHost(s.host);
     sim_.transport().Send(
-        msg,
-        [peer, n, to, now, rev, built] {
-          peer->Deliver(n, to, now, rev, built);
-        },
+        msg, [peer, n, to, now, rev] { peer->Deliver(n, to, now, rev); },
         opts);
   }
   CheckTimeouts(n, row);
 }
 
 void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
-                                sim::Time send_time, std::uint32_t rev,
-                                std::uint64_t built) {
+                                sim::Time send_time, std::uint32_t rev) {
   if (!running_) return;
   // A crashed sender's in-flight messages are dropped (it "stopped
   // responding" at fail time, and Beat checks liveness at send time, so
@@ -305,20 +300,14 @@ void HeartbeatProtocol::Deliver(NodeIndex from, NodeIndex to,
   ++delivered_;
   m_delivered_->Inc();
   const sim::Time now = sim_.now();
-  // Stamp the sender's slot in the receiver's row. While the receiver's
-  // leafset is the one the sender read `rev` from, that slot holds the
-  // sender (kNoSlot: the sender is not a member, so the spill); after a
-  // change, search the row, then the spill.
+  // Stamp the sender's slot in the receiver's row: the slot the sender
+  // named when it built its own row, else (either leafset changed since)
+  // a scan of the row, else the spill (the sender is not a member).
   const std::uint32_t row = RowFor(to);
   Slot* slots = SlotsOf(row);
-  Slot* hit = nullptr;
-  if (ring_.leafset_version(to) <= built) {
-    P2P_DCHECK(rev == kNoSlot || slots[rev].member == from);
-    if (rev != kNoSlot) hit = &slots[rev];
-  } else {
-    for (std::size_t k = 0; hit == nullptr && k < width_; ++k)
-      if (slots[k].member == from) hit = &slots[k];
-  }
+  Slot* hit = rev < width_ && slots[rev].member == from ? &slots[rev] : nullptr;
+  for (std::size_t k = 0; hit == nullptr && k < width_; ++k)
+    if (slots[k].member == from) hit = &slots[k];
   if (hit != nullptr) {
     hit->heard = now;
   } else {
@@ -391,7 +380,7 @@ void HeartbeatProtocol::CheckTimeouts(NodeIndex n, std::uint32_t row) {
 std::size_t HeartbeatProtocol::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += row_of_.capacity() * sizeof(std::uint32_t);
-  bytes += row_built_.capacity() * sizeof(std::uint64_t);
+  bytes += heads_.capacity() * sizeof(RowHead);
   bytes += (rows_.capacity() + scratch_.capacity()) * sizeof(Slot);
   // Hash-node payload plus its chain pointer, and the bucket array.
   bytes += spill_.size() *

@@ -147,12 +147,9 @@ class HeartbeatProtocol {
   // first delivery) and the bus's base delay owner -> member, cached from
   // the same Transport::BaseDelayMs the bus would charge per send (-1 when
   // the bus has no oracle: the bus then resolves the fallback itself).
-  // `rev` is the owner's slot in the member's row (kNoSlot when the owner
-  // is not in the member's leafset), read from the member's leafset when
-  // the row was laid out. A heartbeat carries it with that layout's ring
-  // epoch, so while the member's leafset has not changed since, the
-  // delivery stamps that slot (or the spill) without reading or searching
-  // the member's row.
+  // `rev` is the owner's slot in the member's row, so the member's
+  // delivery stamps it without a search (kNoSlot when the owner is not in
+  // the member's leafset).
   struct Slot {
     std::uint32_t member;
     std::uint32_t host : 24;
@@ -161,6 +158,12 @@ class HeartbeatProtocol {
     sim::Time delay;
   };
   static_assert(sizeof(Slot) == 24, "heartbeat slots must stay compact");
+  // Per-row header: the leafset version the row was built from and the
+  // owner's host.
+  struct RowHead {
+    std::uint32_t version;
+    std::uint32_t host;
+  };
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
   static constexpr std::uint32_t kEmpty = 0xffffffffu;  // unused slot
   static constexpr std::uint32_t kNoSlot = 0xffu;
@@ -176,15 +179,15 @@ class HeartbeatProtocol {
   void ScheduleSweep();
   void Beat(NodeIndex n);
   void Deliver(NodeIndex from, NodeIndex to, sim::Time send_time,
-               std::uint32_t rev, std::uint64_t built);
+               std::uint32_t rev);
   void CheckTimeouts(NodeIndex n, std::uint32_t row);
 
   // Node n's row index, creating the row on first use and rebuilding it
-  // when n's leafset changed since it was laid out.
+  // when n's leafset version moved since it was built.
   std::uint32_t RowFor(NodeIndex n) {
     if (n < row_of_.size()) {
       const std::uint32_t row = row_of_[n];
-      if (row != kNoRow && ring_.leafset_version(n) <= row_built_[row])
+      if (row != kNoRow && heads_[row].version == ring_.leafset_version(n))
         return row;
     }
     return LayOutRow(n);
@@ -231,12 +234,12 @@ class HeartbeatProtocol {
   // leafsets after churn, members that left) live in spill_. Rows are
   // created on first use, so an instance bound to one shard holds rows
   // only for the nodes it owns.
-  std::size_t width_ = 0;                   // slots per row: 2r
-  std::vector<std::uint32_t> row_of_;       // node -> row index (kNoRow)
-  std::vector<std::uint64_t> row_built_;    // leafset epoch at layout
-  std::vector<Slot> rows_;                  // row r: [r * width_, +width_)
+  std::size_t width_ = 0;                 // slots per row: 2r
+  std::vector<std::uint32_t> row_of_;     // node -> row index (kNoRow)
+  std::vector<RowHead> heads_;            // by row
+  std::vector<Slot> rows_;                // row r: [r * width_, +width_)
   std::unordered_map<std::uint64_t, sim::Time> spill_;  // SpillKey -> heard
-  std::vector<Slot> scratch_;               // BuildRow's staging row
+  std::vector<Slot> scratch_;             // BuildRow's staging row
   std::vector<sim::Simulation::PeriodicToken> tokens_;  // !batch_beats only
   // Batched beats (config_.batch_beats): the beat row, cyclically sorted
   // by next deadline — [beat_cursor_, end) then [0, beat_cursor_) is

@@ -73,7 +73,7 @@ void Ring::FillLeafsetFromSorted(NodeIndex n) {
     ls.Insert(s.id, s.node);
     ls.Insert(p.id, p.node);
   }
-  TouchLeafset(n);
+  ++leafset_version_[n];
 }
 
 void Ring::AddNode(NodeId id, net::HostIdx host) {
@@ -93,7 +93,6 @@ NodeIndex Ring::Join(net::HostIdx host, NodeId id) {
   AddNode(id, host);
   const NodeIndex n = nodes_.size() - 1;
   sorted_dirty_ = true;
-  ++leafset_epoch_;
 
   // Bring the joiner and the 2r nodes around it to converged leafsets.
   FillLeafsetFromSorted(n);
@@ -183,7 +182,6 @@ void Ring::Fail(NodeIndex n) {
 void Ring::DetectFailure(NodeIndex n) {
   const NodeId dead_id = nodes_.at(n).id();
   P2P_CHECK(!alive_[n]);
-  ++leafset_epoch_;
   std::erase_if(undetected_,
                 [n](const LeafsetEntry& e) { return e.node == n; });
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
@@ -192,7 +190,7 @@ void Ring::DetectFailure(NodeIndex n) {
     y.fingers().Invalidate(n);
     y.prefix().Invalidate(n);
     if (y.leafset().Remove(dead_id)) {
-      TouchLeafset(i);
+      ++leafset_version_[i];
       // Lost a leafset member: refill from converged membership (stands in
       // for the leafset-merge repair exchange of the real protocol). Crashed
       // nodes not yet detected are still members to their neighbours, so
@@ -333,7 +331,6 @@ void Ring::StabilizeAll() {
   // fan out across the pool and lands on identical state either way.
   RefreshSorted();
   undetected_.clear();
-  ++leafset_epoch_;
   const std::size_t m = sorted_.size();
   const auto rebuild = [this](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
@@ -425,9 +422,8 @@ void Ring::SwapNodeIds(NodeIndex a, NodeIndex b) {
   const NodeId idb = nb.id();
   na.ResetRoutingState(idb);
   nb.ResetRoutingState(ida);
-  ++leafset_epoch_;
-  TouchLeafset(a);
-  TouchLeafset(b);
+  ++leafset_version_[a];
+  ++leafset_version_[b];
   sorted_dirty_ = true;
   // Leafsets referencing either node by its old id must be re-pointed; the
   // set of affected nodes is the union of the 2r-neighbourhoods of both
@@ -447,7 +443,7 @@ std::size_t Ring::MemoryBytes() const {
   total += sorted_.capacity() * sizeof(LeafsetEntry);
   total += undetected_.capacity() * sizeof(LeafsetEntry);
   total += alive_.capacity() * sizeof(std::uint8_t);
-  total += leafset_version_.capacity() * sizeof(std::uint64_t);
+  total += leafset_version_.capacity() * sizeof(std::uint32_t);
   return total;
 }
 

@@ -137,16 +137,13 @@ class Ring {
   // Dense liveness column: node(n).alive() without touching the Node
   // record. The hot paths (heartbeats, routing, failure cleanup) read this.
   bool alive(NodeIndex n) const { return alive_[n] != 0; }
-  // The ring's leafset epoch when node n's leafset last changed (join
-  // refills, failure removal and refill, id swaps); every call that
-  // changes leafsets advances the epoch first. Consumers that cache
-  // per-leafset state (the heartbeat slot rows) record leafset_epoch()
-  // when they read a leafset: n's leafset is unchanged since then exactly
-  // while leafset_version(n) <= that record.
-  std::uint64_t leafset_version(NodeIndex n) const {
+  // Bumped on every change to node n's leafset (join refills, failure
+  // removal and refill, id swaps). Consumers that cache per-leafset state
+  // (the heartbeat slot rows) rebuild a node's cache only when its own
+  // version moved.
+  std::uint32_t leafset_version(NodeIndex n) const {
     return leafset_version_[n];
   }
-  std::uint64_t leafset_epoch() const { return leafset_epoch_; }
   const net::LatencyOracle* oracle() const { return oracle_; }
 
   // Optional per-hop route tracing: when set, Route() appends one kRouting
@@ -180,8 +177,6 @@ class Ring {
   void FillLeafsetFromSorted(NodeIndex n);
   // Append the per-node columns for a newly created node.
   void AddNode(NodeId id, net::HostIdx host);
-  // Record a change to n's leafset at the current epoch.
-  void TouchLeafset(NodeIndex n) { leafset_version_[n] = leafset_epoch_; }
 
   std::size_t per_side_;
   util::ThreadPool* pool_ = nullptr;
@@ -196,8 +191,7 @@ class Ring {
   // Per-node columns beside nodes_: liveness (mirrors Node::state) and
   // leafset version (see leafset_version()).
   std::vector<std::uint8_t> alive_;
-  std::vector<std::uint64_t> leafset_version_;
-  std::uint64_t leafset_epoch_ = 0;
+  std::vector<std::uint32_t> leafset_version_;
   std::size_t alive_count_ = 0;
   // Crashed nodes DetectFailure has not processed yet, in crash order.
   std::vector<LeafsetEntry> undetected_;
