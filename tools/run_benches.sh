@@ -121,9 +121,7 @@ fi
 # per-layer table. sim.ns_per_event is the run phase's wall time over its
 # events; on a shared 4-CPU VM (RelWithDebInfo) it read 825-1310 ns before
 # heartbeat liveness moved to flat slot rows and 560-825 ns after. Warn-only,
-# like every wall-clock gate here; set FULLSTACK_MAX_NS_PER_EVENT to move
-# the threshold.
-max_ns_per_event=${FULLSTACK_MAX_NS_PER_EVENT:-800}
+# like every wall-clock gate here.
 if command -v python3 >/dev/null 2>&1; then
   if fullstack_out=$(python3 "$repo_root/perfbench/run.py" \
       --workload fullstack_10k --trace 1 --seconds 15); then
@@ -133,8 +131,8 @@ limit = float(sys.argv[1])
 ns = json.loads(sys.stdin.read())["metrics"]["sim.ns_per_event"]["value"]
 print("fullstack_10k sim.ns_per_event %.0f ns (threshold %.0f)" % (ns, limit))
 sys.exit(0 if ns <= limit else 1)
-' "$max_ns_per_event" \
-      || echo "WARNING: fullstack_10k ns/event above ${max_ns_per_event} — inspect .bench_build/results/"
+' 800 \
+      || echo "WARNING: fullstack_10k ns/event above 800 — inspect .bench_build/results/"
   else
     echo "WARNING: perfbench fullstack_10k run failed — inspect .bench_build/build.log"
   fi
