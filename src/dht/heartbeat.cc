@@ -255,6 +255,20 @@ void HeartbeatProtocol::BuildRow(NodeIndex n, std::uint32_t row, bool fresh) {
       spill_.erase(it);
     }
   }
+  // A crashed member entering the row (DetectFailure's refill lists
+  // crashed nodes nobody has detected yet) is watched from now on: its
+  // silence runs from this layout, not from its last beat to n or from the
+  // start, so n cannot declare it failed sooner than a timeout after
+  // taking it in.
+  if (!fresh) {
+    const sim::Time now = sim_.now();
+    for (Slot& s : scratch_) {
+      if (s.member == kEmpty || ring_.alive(s.member)) continue;
+      if (std::none_of(old, old + width_,
+                       [&s](const Slot& o) { return o.member == s.member; }))
+        s.heard = now;
+    }
+  }
   std::copy(scratch_.begin(), scratch_.end(), old);
   heads_[row] = {ring_.leafset_version(n), static_cast<std::uint32_t>(src)};
 }

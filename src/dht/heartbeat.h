@@ -197,7 +197,8 @@ class HeartbeatProtocol {
   // Lay out row `row` from n's current leafset: slot k < r holds the k-th
   // successor, slot r + k the k-th predecessor unless it is also a
   // successor. Heard times carry over from the previous layout (`fresh`
-  // false) and the spill; members that left the leafset spill theirs.
+  // false) and the spill; members that left the leafset spill theirs. A
+  // relayout starts a crashed newcomer's silence at the layout time.
   void BuildRow(NodeIndex n, std::uint32_t row, bool fresh);
   // n's slot in member m's row (kNoSlot when n is not in m's leafset).
   std::uint32_t ReverseSlot(NodeIndex m, NodeIndex n) const;
