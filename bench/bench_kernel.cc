@@ -708,7 +708,8 @@ struct WideAreaResult {
 //   callback_dispatch  + real delivery closures (payload capture, failure-
 //                        detector push-back via Rearm)
 //   transport_resolve  + sends routed through the Transport bus (fault and
-//                        delay resolution, accounting, in-flight slab)
+//                        delay resolution, accounting via the event's
+//                        delivery tag)
 //   metrics            + per-send/delivery registry counters enabled
 // ---------------------------------------------------------------------------
 enum class BreakPhase : int {

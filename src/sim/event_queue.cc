@@ -574,11 +574,9 @@ std::uint32_t EventQueue::AllocSlot() {
 }
 
 void EventQueue::FreeSlot(std::uint32_t slot) {
-  Slot& s = slab_[slot];
-  s.fn = nullptr;
-  s.period = -1.0;
+  slab_[slot].fn = nullptr;
   Key& k = keys_[slot];
-  k.state = static_cast<std::uint8_t>(State::kFree);  // clears rearmed
+  k.state = static_cast<std::uint8_t>(State::kFree);  // clears both flags
   ++k.gen;  // invalidates every outstanding id for this slot
   k.backend_word = free_head_;  // freelist link while free
   free_head_ = slot;
@@ -640,16 +638,16 @@ void EventQueue::BackendAdd(std::uint32_t slot) {
   }
 }
 
-EventId EventQueue::Schedule(Time t, Callback cb) {
+EventId EventQueue::Schedule(Time t, Callback cb, std::uint64_t tag) {
   P2P_CHECK_MSG(static_cast<bool>(cb), "scheduling a null callback");
   CheckTime(t);
   const std::uint32_t slot = AllocSlot();
   Slot& s = slab_[slot];
   s.fn = std::move(cb);
+  s.tag = tag;
   keys_[slot].time = t;
-  s.period = -1.0;
   keys_[slot].seq = next_seq_++;
-  set_state(slot, State::kScheduled);
+  keys_[slot].state = static_cast<std::uint8_t>(State::kScheduled);
   BackendAdd(slot);
   ++live_count_;
   return IdOf(slot);
@@ -663,10 +661,11 @@ EventId EventQueue::SchedulePeriodic(Time first, Time period, Callback cb) {
   const std::uint32_t slot = AllocSlot();
   Slot& s = slab_[slot];
   s.fn = std::move(cb);
-  keys_[slot].time = first;
   s.period = period;
+  keys_[slot].time = first;
   keys_[slot].seq = next_seq_++;
-  set_state(slot, State::kScheduled);
+  keys_[slot].state =
+      static_cast<std::uint8_t>(State::kScheduled) | kPeriodicBit;
   BackendAdd(slot);
   ++live_count_;
   return IdOf(slot);
@@ -675,7 +674,6 @@ EventId EventQueue::SchedulePeriodic(Time first, Time period, Callback cb) {
 bool EventQueue::Cancel(EventId id) {
   const std::uint32_t slot = SlotOf(id);
   if (slot == kNoSlot) return false;
-  Slot& s = slab_[slot];
   switch (state(slot)) {
     case State::kScheduled:
       // Kill the occurrence before telling the backend, so lazy backends
@@ -689,7 +687,7 @@ bool EventQueue::Cancel(EventId id) {
       // A one-shot firing in place (batched drain) already left the live
       // count and frees itself when the callback returns — same answer a
       // Pop()-style driver gives for the already-recycled record.
-      if (s.period < 0.0) return false;
+      if (!periodic(slot)) return false;
       // Periodic cancelled from inside its own callback; FinishPeriodic
       // frees the record once the callback returns.
       set_state(slot, State::kStopped);
@@ -706,7 +704,6 @@ bool EventQueue::Rearm(EventId id, Time t) {
   const std::uint32_t slot = SlotOf(id);
   if (slot == kNoSlot) return false;
   CheckTime(t);
-  Slot& s = slab_[slot];
   switch (state(slot)) {
     case State::kScheduled:
       // Fresh seq first: the backend's old entry must already read as dead
@@ -718,7 +715,7 @@ bool EventQueue::Rearm(EventId id, Time t) {
       return true;
     case State::kFiring:
       // A firing one-shot reads as already fired (see Cancel above).
-      if (s.period < 0.0) return false;
+      if (!periodic(slot)) return false;
       // From inside the periodic's own callback: override the upcoming
       // deadline + period re-arm.
       keys_[slot].time = t;
@@ -743,7 +740,8 @@ EventQueue::Fired EventQueue::Pop() {
   Fired fired;
   fired.time = keys_[slot].time;
   fired.id = IdOf(slot);
-  if (s.period < 0.0) {
+  if (!periodic(slot)) {
+    fired.tag = s.tag;
     fired.cb = std::move(s.fn);
     --live_count_;
     FreeSlot(slot);
@@ -773,7 +771,8 @@ bool EventQueue::FinishPeriodic(EventId id) {
   // consume it — same-seed runs stay byte-identical across the migration.
   Key& k = keys_[slot];
   if ((k.state & kRearmedBit) == 0) k.time += s.period;
-  k.state = static_cast<std::uint8_t>(State::kScheduled);  // clears rearmed
+  // Clears rearmed, keeps periodic.
+  k.state = static_cast<std::uint8_t>(State::kScheduled) | kPeriodicBit;
   k.seq = next_seq_++;
   BackendAdd(slot);
   return true;
@@ -786,14 +785,15 @@ void EventQueue::EmitSlot(std::uint32_t slot, void* ctx, SinkFn sink) {
   fired.id = IdOf(slot);
   set_state(slot, State::kFiring);
   fired.periodic = &s.fn;
-  if (s.period < 0.0) {
+  if (!periodic(slot)) {
     // One-shots fire in place too on the batched path: the callback runs
     // straight out of the slab (stable deque storage) instead of paying a
     // 64-byte move into Fired, and the record is recycled after it
-    // returns. Cancel/Rearm treat a firing one-shot as already gone
-    // (period < 0 in the kFiring branches), exactly as if the record had
-    // been freed before the callback like Pop() does, so the two drivers
-    // stay observationally identical.
+    // returns. Cancel/Rearm treat a firing one-shot as already gone (the
+    // kFiring branches' periodic test), exactly as if the record had been
+    // freed before the callback like Pop() does, so the two drivers stay
+    // observationally identical.
+    fired.tag = s.tag;
     --live_count_;
     sink(ctx, fired);
     FreeSlot(slot);

@@ -70,7 +70,10 @@ class EventQueue {
   // Schedule `cb` at absolute time `t` (must be finite, >= 0, and >= the
   // last popped event's time — the owning Simulation enforces the
   // stronger t >= now). Returns an id usable with Cancel()/Rearm().
-  EventId Schedule(Time t, Callback cb);
+  // `tag` is an opaque word stored in the event record and handed back in
+  // Fired::tag when the event fires (the Transport packs a message's
+  // delivery accounting into it); the queue never interprets it.
+  EventId Schedule(Time t, Callback cb, std::uint64_t tag = 0);
 
   // First-class periodic timer: fires at `first`, then every `period` ms.
   // The callback is stored once for the timer's whole lifetime; each
@@ -111,6 +114,7 @@ class EventQueue {
   struct Fired {
     Time time = 0.0;
     EventId id = kInvalidEventId;
+    std::uint64_t tag = 0;  // the one-shot's Schedule tag; 0 for periodics
     Callback cb;
     Callback* periodic = nullptr;
     bool is_periodic() const { return periodic != nullptr; }
@@ -171,14 +175,18 @@ class EventQueue {
   // wheel tick or recycling a fired record touches ONE line of metadata
   // instead of gathering time/seq/state/location from four parallel
   // arrays at random slot indices. What remains in the slab record is
-  // exactly what the firing itself touches: the callback and its period,
-  // packed into a single 64-byte line. Net: one fired one-shot costs two
-  // cold lines (key + slab), and everything else it touches rides along
-  // for free. The deque keeps callback addresses stable while they run
-  // and schedule into a growing slab.
+  // exactly what the firing itself touches: the callback and one word (a
+  // periodic's period or a one-shot's tag, told apart by a Key::state
+  // bit), packed into a single 64-byte line. Net: one fired one-shot
+  // costs two cold lines (key + slab), and everything else it touches
+  // rides along for free. The deque keeps callback addresses stable while
+  // they run and schedule into a growing slab.
   struct alignas(64) Slot {
     Callback fn;
-    Time period = -1.0;  // < 0: one-shot
+    union {
+      std::uint64_t tag = 0;  // one-shot: Schedule's tag
+      Time period;            // periodic: ms between firings
+    };
   };
   static_assert(sizeof(Slot) == 64,
                 "event slab record must stay one cache line");
@@ -190,8 +198,8 @@ class EventQueue {
     // wheel packs bucket/position here). While free: the freelist link.
     std::uint64_t backend_word = 0;
     std::uint32_t gen = 0;
-    // State enum in the low bits, rearmed-while-firing flag in the top
-    // bit (see kRearmedBit).
+    // State enum in the low bits, the periodic and rearmed-while-firing
+    // flags in the top two (see kPeriodicBit, kRearmedBit).
     std::uint8_t state = 0;
   };
   static_assert(sizeof(Key) == 32,
@@ -214,16 +222,21 @@ class EventQueue {
            (static_cast<EventId>(slot) + 1);
   }
 
-  // Key::state packs the State enum in the low bits and the
-  // rearmed-while-firing flag in the top bit, so a firing touches one
+  // Key::state packs the State enum in the low bits and the periodic and
+  // rearmed-while-firing flags in the top two, so a firing touches one
   // byte of metadata — in a line it has already pulled in.
+  static constexpr std::uint8_t kPeriodicBit = 0x40;
   static constexpr std::uint8_t kRearmedBit = 0x80;
+  static constexpr std::uint8_t kFlagBits = kPeriodicBit | kRearmedBit;
   State state(std::uint32_t slot) const {
-    return static_cast<State>(keys_[slot].state & ~kRearmedBit);
+    return static_cast<State>(keys_[slot].state & ~kFlagBits);
   }
   void set_state(std::uint32_t slot, State s) {
     keys_[slot].state =
-        static_cast<std::uint8_t>(s) | (keys_[slot].state & kRearmedBit);
+        static_cast<std::uint8_t>(s) | (keys_[slot].state & kFlagBits);
+  }
+  bool periodic(std::uint32_t slot) const {
+    return (keys_[slot].state & kPeriodicBit) != 0;
   }
   bool rearmed_while_firing(std::uint32_t slot) const {
     return (keys_[slot].state & kRearmedBit) != 0;

@@ -47,8 +47,9 @@ class ShardedSimulation::Router : public ShardRouter {
       : owner_(owner), shard_(shard) {}
 
   void PostRemote(const Message& msg, Time deliver_time,
-                  util::InlineFn deliver) override {
-    owner_.PostRemoteMessage(shard_, msg, deliver_time, std::move(deliver));
+                  util::InlineFn deliver, std::uint64_t tag) override {
+    owner_.Post(shard_, owner_.shard_of_host_[msg.dst_host], deliver_time,
+                std::move(deliver), tag);
   }
 
  private:
@@ -136,7 +137,8 @@ void ShardedSimulation::SetHostShards(std::vector<std::uint32_t> shard_of_host) 
 }
 
 void ShardedSimulation::Post(std::size_t src, std::size_t dst,
-                             Time deliver_time, EventQueue::Callback cb) {
+                             Time deliver_time, EventQueue::Callback cb,
+                             std::uint64_t tag) {
   P2P_CHECK_MSG(src < shards_.size() && dst < shards_.size(),
                 "unknown shard in cross-shard post");
   P2P_CHECK_MSG(deliver_time >= shards_[dst]->window_end,
@@ -158,26 +160,12 @@ void ShardedSimulation::Post(std::size_t src, std::size_t dst,
   if (coalesced_) {
     OutColumn& box = shards_[src]->outbox[dst];
     box.deliver.push_back(deliver_time);
+    box.tag.push_back(tag);
     box.cb.push_back(std::move(cb));
   } else {
-    shards_[src]->outbox_pm[dst].push_back(Pending{deliver_time, std::move(cb)});
+    shards_[src]->outbox_pm[dst].push_back(
+        Pending{deliver_time, tag, std::move(cb)});
   }
-}
-
-void ShardedSimulation::PostRemoteMessage(std::uint32_t src_shard,
-                                          const Message& msg,
-                                          Time deliver_time,
-                                          EventQueue::Callback deliver) {
-  const std::uint32_t dst_shard = shard_of_host_[msg.dst_host];
-  Transport* bus = &shards_[dst_shard]->sim->transport();
-  // The destination bus accounts the delivery when the closure runs —
-  // mirroring FinishDelivery on a local scheduled send.
-  Post(src_shard, dst_shard, deliver_time,
-       [bus, protocol = msg.protocol, src = msg.src_host, bytes = msg.bytes,
-        cb = std::move(deliver)]() mutable {
-         bus->AccountRemoteDelivery(protocol, src, bytes);
-         if (cb) cb();
-       });
 }
 
 void ShardedSimulation::ExchangeMailboxes() {
@@ -235,7 +223,7 @@ void ShardedSimulation::DrainInbox(Shard& shard) const {
       auto& box = shard.staged_pm[src];
       for (auto& p : box) {
         shard.inbox.push_back(Routed{p.deliver,
-                                     static_cast<std::uint32_t>(src),
+                                     static_cast<std::uint32_t>(src), p.tag,
                                      std::move(p.cb)});
       }
       box.clear();
@@ -244,7 +232,8 @@ void ShardedSimulation::DrainInbox(Shard& shard) const {
                      [](const Routed& a, const Routed& b) {
                        return a.deliver < b.deliver;
                      });
-    for (Routed& r : shard.inbox) shard.sim->At(r.deliver, std::move(r.cb));
+    for (Routed& r : shard.inbox)
+      shard.sim->At(r.deliver, std::move(r.cb), r.tag);
     shard.inbox.clear();
     return;
   }
@@ -275,7 +264,7 @@ void ShardedSimulation::DrainInbox(Shard& shard) const {
     }
     OutColumn& box = shard.staged[best];
     const std::uint32_t idx = box.order[shard.merge_pos[best]++];
-    shard.sim->At(best_t, std::move(box.cb[idx]));
+    shard.sim->At(best_t, std::move(box.cb[idx]), box.tag[idx]);
   }
   for (OutColumn& box : shard.staged) box.clear();
 }

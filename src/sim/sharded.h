@@ -34,9 +34,9 @@
 //     pinned the wheel to the heap).
 //
 // Exchange barrier: cross-shard sends stage in flat SoA columns — one
-// (deliver[], cb[], order[]) column per (src, dst) pair. Each sending
-// shard sorts its own columns in parallel before the barrier (a stable
-// sort of the u32 `order` permutation on deliver time; the 64-byte
+// (deliver[], tag[], cb[], order[]) column per (src, dst) pair. Each
+// sending shard sorts its own columns in parallel before the barrier (a
+// stable sort of the u32 `order` permutation on deliver time; the 64-byte
 // callbacks never move), the barrier itself claims columns with O(1)
 // vector swaps, and DrainInbox k-way merges the pre-sorted runs straight
 // into the destination queue — no stable_sort over the concatenation, no
@@ -46,7 +46,8 @@
 //
 // Cross-shard sends route through Transport::ShardRouter: the sending
 // shard resolves faults/delay/trace and counts sent/bytes, the receiving
-// shard counts the delivery at drain time. Because the simulation shares
+// shard's bus counts the delivery from the tag that crosses beside the
+// unwrapped closure. Because the simulation shares
 // one address space, the closure itself crosses shards; the barrier
 // provides the happens-before edge, and protocol closures must only touch
 // destination-shard-owned state (HeartbeatProtocol::BindShard and
@@ -127,14 +128,15 @@ class ShardedSimulation {
     return shard_of_host_;
   }
 
-  // Enqueue `cb` on shard `dst` at absolute virtual time `deliver_time`.
-  // Callable from shard `src`'s thread during a window; the callback runs
-  // on `dst` after the barrier. CHECKs the lookahead contract
+  // Enqueue `cb` (with `tag`, see Simulation::At) on shard `dst` at
+  // absolute virtual time `deliver_time`. Callable from shard `src`'s
+  // thread during a window; the callback runs on `dst` after the barrier.
+  // CHECKs the lookahead contract
   // (deliver_time >= the destination's current window end, and — with a
   // matrix — >= the sender's clock + the pair bound, which validates the
   // extraction against every observed delivery).
   void Post(std::size_t src, std::size_t dst, Time deliver_time,
-            EventQueue::Callback cb);
+            EventQueue::Callback cb, std::uint64_t tag = 0);
 
   // Advance every shard to `t_end` in lockstep windows (or directly, at
   // 1 shard). Returns events fired across all shards during this call.
@@ -175,25 +177,29 @@ class ShardedSimulation {
  private:
   struct Pending {
     Time deliver = 0.0;
+    std::uint64_t tag = 0;
     EventQueue::Callback cb;
   };
   struct Routed {
     Time deliver = 0.0;
     std::uint32_t src_shard = 0;
+    std::uint64_t tag = 0;
     EventQueue::Callback cb;
   };
   // One (src, dst) staging column of the coalesced exchange: parallel
-  // deliver/cb arrays in append (send_seq) order plus the sorted
+  // deliver/tag/cb arrays in append (send_seq) order plus the sorted
   // permutation. Sorting moves 4-byte indices; the callbacks stay put
   // until the drain moves each exactly once into the destination queue.
   struct OutColumn {
     std::vector<Time> deliver;
+    std::vector<std::uint64_t> tag;
     std::vector<EventQueue::Callback> cb;
     std::vector<std::uint32_t> order;  // filled by SortOutboxes
     std::size_t size() const { return deliver.size(); }
     bool empty() const { return deliver.empty(); }
     void clear() {
       deliver.clear();
+      tag.clear();
       cb.clear();
       order.clear();
     }
@@ -225,8 +231,6 @@ class ShardedSimulation {
     double sort_ns = 0.0;   // outbox pre-sort portion of busy_ns
   };
 
-  void PostRemoteMessage(std::uint32_t src_shard, const Message& msg,
-                         Time deliver_time, EventQueue::Callback deliver);
   void ExchangeMailboxes();
   void DrainInbox(Shard& shard) const;
   void SortOutboxes(Shard& shard) const;

@@ -6,10 +6,10 @@
 
 namespace p2p::sim {
 
-EventId Simulation::At(Time t, EventQueue::Callback cb) {
+EventId Simulation::At(Time t, EventQueue::Callback cb, std::uint64_t tag) {
   P2P_CHECK_MSG(t >= now_, "cannot schedule in the past: t=" << t << " now="
                                                              << now_);
-  return queue_.Schedule(t, std::move(cb));
+  return queue_.Schedule(t, std::move(cb), tag);
 }
 
 EventId Simulation::After(Time dt, EventQueue::Callback cb) {
@@ -47,6 +47,7 @@ bool Simulation::Step() {
     (*fired.periodic)();
     queue_.FinishPeriodic(fired.id);
   } else {
+    if (fired.tag != 0) transport_.FinishDelivery(fired.tag);
     fired.cb();
   }
   return true;
@@ -56,17 +57,15 @@ std::size_t Simulation::RunUntil(Time t_end) {
   obs::ScopeTimer timer(run_profile_);
   std::size_t n = 0;
   // One batched drain instead of a peek+pop virtual round trip per event;
-  // the queue re-arms periodic timers itself on this path.
+  // the queue re-arms periodic timers itself on this path, and every
+  // firing (one-shot or periodic) runs in place through `periodic`.
   queue_.PopAllUpTo(t_end, [&](EventQueue::Fired& fired) {
     P2P_DCHECK(fired.time >= now_);
     now_ = fired.time;
     ++fired_;
     ++n;
-    if (fired.is_periodic()) {
-      (*fired.periodic)();
-    } else {
-      fired.cb();
-    }
+    if (fired.tag != 0) transport_.FinishDelivery(fired.tag);
+    (*fired.periodic)();
   });
   // Advance the clock to t_end even if no event lands exactly there, so
   // successive RunUntil calls observe monotonically increasing time.

@@ -43,8 +43,10 @@ class Simulation {
   // Wire the transport's per-protocol counters into metrics().
   void EnableMetrics() { transport_.set_metrics(&metrics_); }
 
-  // Schedule at absolute virtual time (>= now).
-  EventId At(Time t, EventQueue::Callback cb);
+  // Schedule at absolute virtual time (>= now). A nonzero `tag` marks a
+  // Transport delivery: the kernel passes it to transport().FinishDelivery
+  // right before `cb` runs (the bus packs the message's accounting in it).
+  EventId At(Time t, EventQueue::Callback cb, std::uint64_t tag = 0);
   // Schedule `dt` ms from now (dt >= 0).
   EventId After(Time dt, EventQueue::Callback cb);
   // Schedule a repeating event every `period` ms, first firing after

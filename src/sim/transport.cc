@@ -1,5 +1,6 @@
 #include "sim/transport.h"
 
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -7,6 +8,32 @@
 #include "util/check.h"
 
 namespace p2p::sim {
+
+namespace {
+
+// Delivery tag layout, high to low: valid (so a tag is never 0, the
+// kernel's "plain event"), local (counted in this bus's in-flight
+// gauges), protocol (3 bits), src host (28), bytes (31).
+constexpr int kTagSrcShift = std::bit_width(Transport::kMaxMessageBytes);
+constexpr int kTagProtocolShift =
+    kTagSrcShift + std::bit_width(Transport::kMaxSrcHost);
+constexpr std::uint64_t kTagLocalBit = std::uint64_t{1} << 62;
+constexpr std::uint64_t kTagValidBit = std::uint64_t{1} << 63;
+static_assert(kProtocolCount <= 8 && kTagProtocolShift + 3 <= 62,
+              "protocol must fit its 3 tag bits below the flags");
+
+std::uint64_t TagOf(const Message& msg, bool local) {
+  return kTagValidBit | (local ? kTagLocalBit : 0) |
+         (static_cast<std::uint64_t>(msg.protocol) << kTagProtocolShift) |
+         (static_cast<std::uint64_t>(msg.src_host) << kTagSrcShift) |
+         static_cast<std::uint64_t>(msg.bytes);
+}
+
+// Stands in for an empty callback (the kernel rejects those; the delivery
+// still counts). Out of line, or GCC flags moving its unset buffer bytes.
+[[gnu::noinline]] Transport::DeliverFn NoOpDelivery() { return [] {}; }
+
+}  // namespace
 
 double Transport::BaseDelayMs(std::size_t src, std::size_t dst,
                               double fallback) const {
@@ -75,14 +102,15 @@ void Transport::EnablePerHostStats(std::size_t host_count) {
   if (host_stats_.size() < host_count) host_stats_.resize(host_count);
 }
 
-void Transport::FinishDelivery(Protocol protocol, std::size_t src,
-                               std::size_t bytes, bool was_scheduled) {
-  const auto pi = static_cast<std::size_t>(protocol);
+void Transport::FinishDelivery(std::uint64_t tag) {
+  const auto pi = static_cast<std::size_t>((tag >> kTagProtocolShift) & 7);
+  const std::size_t src = (tag >> kTagSrcShift) & kMaxSrcHost;
+  P2P_DCHECK((tag & kTagValidBit) != 0 && pi < kProtocolCount);
   ++stats_.by_protocol[pi].delivered;
   if (src < host_stats_.size()) ++host_stats_[src].delivered;
-  if (was_scheduled) {
+  if ((tag & kTagLocalBit) != 0) {
     --inflight_msgs_;
-    inflight_bytes_ -= bytes;
+    inflight_bytes_ -= tag & kMaxMessageBytes;
   }
   if (metrics_ != nullptr) {
     handles_[pi].delivered->Inc();
@@ -93,6 +121,9 @@ void Transport::FinishDelivery(Protocol protocol, std::size_t src,
 
 bool Transport::Send(const Message& msg, DeliverFn deliver,
                      SendOptions opts) {
+  P2P_CHECK_MSG(msg.bytes <= kMaxMessageBytes && msg.src_host <= kMaxSrcHost,
+                "message does not fit its delivery tag: bytes=" << msg.bytes
+                    << " src_host=" << msg.src_host);
   const auto pi = static_cast<std::size_t>(msg.protocol);
   auto& ps = stats_.by_protocol[pi];
   ++ps.sent;
@@ -151,21 +182,22 @@ bool Transport::Send(const Message& msg, DeliverFn deliver,
     }
     return false;
   }
-  if (router_ != nullptr && msg.dst_host < shard_host_count_ &&
-      shard_of_host_map_[msg.dst_host] != own_shard_) {
+  const bool remote = router_ != nullptr && msg.dst_host < shard_host_count_ &&
+                      shard_of_host_map_[msg.dst_host] != own_shard_;
+  if (opts.inline_delivery) {
+    P2P_CHECK_MSG(!remote, "inline delivery cannot cross shards");
+    FinishDelivery(TagOf(msg, /*local=*/false));
+    if (deliver) deliver();
+    return true;
+  }
+  if (!deliver) deliver = NoOpDelivery();
+  if (remote) {
     // Cross-shard: the closure is delivered by the destination shard after
     // the next lookahead barrier. It never enters this shard's queue, so
     // the in-flight gauges (a per-shard queue-depth signal) skip it; the
-    // destination bus counts the delivery via AccountRemoteDelivery.
-    P2P_CHECK_MSG(!opts.inline_delivery,
-                  "inline delivery cannot cross shards");
-    router_->PostRemote(msg, sim_.now() + delay, std::move(deliver));
-    return true;
-  }
-  if (opts.inline_delivery) {
-    FinishDelivery(msg.protocol, msg.src_host, msg.bytes,
-                   /*was_scheduled=*/false);
-    if (deliver) deliver();
+    // destination bus counts the delivery from the tag.
+    router_->PostRemote(msg, sim_.now() + delay, std::move(deliver),
+                        TagOf(msg, /*local=*/false));
     return true;
   }
   ++inflight_msgs_;
@@ -174,42 +206,13 @@ bool Transport::Send(const Message& msg, DeliverFn deliver,
     inflight_msgs_gauge_->Set(static_cast<double>(inflight_msgs_));
     inflight_bytes_gauge_->Set(static_cast<double>(inflight_bytes_));
   }
-  std::uint32_t idx;
-  if (inflight_free_ != kNoInflight) {
-    idx = inflight_free_;
-    inflight_free_ = inflight_slab_[idx].next_free;
-  } else {
-    idx = static_cast<std::uint32_t>(inflight_slab_.size());
-    inflight_slab_.emplace_back();
-  }
-  Inflight& rec = inflight_slab_[idx];
-  rec.cb = std::move(deliver);
-  rec.protocol = msg.protocol;
-  rec.src = msg.src_host;
-  rec.bytes = msg.bytes;
-  sim_.After(delay, [this, idx] { DeliverScheduled(idx); });
+  sim_.At(sim_.now() + delay, std::move(deliver), TagOf(msg, /*local=*/true));
   return true;
-}
-
-void Transport::DeliverScheduled(std::uint32_t idx) {
-  Inflight& rec = inflight_slab_[idx];
-  const Protocol protocol = rec.protocol;
-  const std::size_t src = rec.src;
-  const std::size_t bytes = rec.bytes;
-  // Free the record before running the callback: deliveries routinely send
-  // follow-up messages, which reuse the slot without growing the slab.
-  DeliverFn cb = std::move(rec.cb);
-  rec.cb = nullptr;
-  rec.next_free = inflight_free_;
-  inflight_free_ = idx;
-  FinishDelivery(protocol, src, bytes, /*was_scheduled=*/true);
-  if (cb) cb();
 }
 
 std::size_t Transport::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += host_stats_.capacity() * sizeof(HostStats);
-  bytes += inflight_slab_.size() * sizeof(Inflight);
   bytes += link_loss_.bucket_count() * sizeof(void*) +
            link_loss_.size() *
                (sizeof(std::pair<const std::uint64_t, double>) +

@@ -16,11 +16,14 @@
 //     TransportStats snapshot;
 //   * an optional bounded TraceSink recording every send for post-hoc
 //     analysis (tools/trace_to_csv).
+// A scheduled message is one kernel event record: the protocol's closure
+// plus a 64-bit delivery tag, which the kernel hands back to
+// FinishDelivery right before the closure runs (cross-shard: on the
+// destination shard's bus).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -121,18 +124,19 @@ struct SendOptions {
 // travel through the owning ShardedSimulation's mailboxes and land on the
 // destination shard at the next lookahead barrier. The transport computes
 // faults, delay and tracing exactly as for a local send, then hands the
-// resolved (message, absolute delivery time, closure) to the router.
+// resolved (message, delivery time, closure, delivery tag) to the router.
 class ShardRouter {
  public:
   virtual ~ShardRouter() = default;
-  // Enqueue `deliver` for the destination shard at absolute `deliver_time`
-  // (>= the end of the current lockstep window — checked by the kernel).
+  // Enqueue `deliver` with `tag` for the destination shard at absolute
+  // `deliver_time` (>= the end of the current lockstep window — checked by
+  // the kernel).
   // The remote test itself is NOT virtual: the bus reads the owner's
   // immutable host->shard map directly (set_shard_router hands it over),
   // so every local send on a sharded run pays one array load instead of a
   // virtual IsRemote call — only genuinely remote sends reach this hook.
   virtual void PostRemote(const Message& msg, Time deliver_time,
-                          util::InlineFn deliver) = 0;
+                          util::InlineFn deliver, std::uint64_t tag) = 0;
 };
 
 class Transport {
@@ -141,6 +145,12 @@ class Transport {
   // bytes of captures schedule with zero allocation (see util/inline_fn.h).
   using DeliverFn = util::InlineFn;
   using SendOptions = sim::SendOptions;
+
+  // Largest bytes / src_host a message may carry: the fields of its
+  // delivery tag (see FinishDelivery). 2 GiB is ~200x the 250k preset's
+  // full SOMO root view; 2^28 hosts is ~1000x its host count.
+  static constexpr std::size_t kMaxMessageBytes = (std::size_t{1} << 31) - 1;
+  static constexpr std::size_t kMaxSrcHost = (std::size_t{1} << 28) - 1;
 
   explicit Transport(Simulation& sim) : sim_(sim) {}
 
@@ -229,29 +239,28 @@ class Transport {
   }
   ShardRouter* shard_router() const { return router_; }
 
-  // Account a cross-shard message's arrival on this (destination) shard's
-  // bus: the sending shard counted sent/bytes/drops, the receiving shard
-  // counts the delivery. Called by the sharded kernel's mailbox drain.
-  void AccountRemoteDelivery(Protocol protocol, std::size_t src,
-                             std::size_t bytes) {
-    FinishDelivery(protocol, src, bytes, /*was_scheduled=*/false);
-  }
-
   // --- sending ------------------------------------------------------------
 
   // Admit `msg` to the bus. Returns false when fault injection dropped it
   // (the delivery callback will never run); otherwise schedules `deliver`
   // at now + base delay + jitter (or runs it inline, see SendOptions). A
   // send whose destination a shard router marks remote is handed to the
-  // router with the same accounting/trace treatment.
+  // router with the same accounting/trace treatment. An empty `deliver`
+  // still counts as delivered. CHECKs that bytes and src_host fit the tag
+  // (kMaxMessageBytes, kMaxSrcHost) before anything else.
   bool Send(const Message& msg, DeliverFn deliver, SendOptions opts = {});
+
+  // Count the delivery a tag describes (per protocol, per source host, and
+  // the in-flight gauges for a local send). The owning Simulation calls it
+  // right before the tagged event's callback runs.
+  void FinishDelivery(std::uint64_t tag);
 
   TransportStats stats() const { return stats_; }
   void ResetStats() { stats_ = TransportStats{}; }
 
   // Resident bytes of the bus's tables: per-host stats (zero until
-  // EnablePerHostStats), the in-flight slab, link-loss overrides and
-  // partition sets, plus this object. Feeds the mem.bytes_per_host gauge.
+  // EnablePerHostStats), link-loss overrides and partition sets, plus this
+  // object. Feeds the mem.bytes_per_host gauge.
   std::size_t MemoryBytes() const;
 
  private:
@@ -260,23 +269,6 @@ class Transport {
            static_cast<std::uint64_t>(dst);
   }
   double LossFor(std::size_t src, std::size_t dst) const;
-  void FinishDelivery(Protocol protocol, std::size_t src, std::size_t bytes,
-                      bool was_scheduled);
-  void DeliverScheduled(std::uint32_t idx);
-
-  // Scheduled deliveries park their callback + accounting fields in this
-  // freelist-recycled slab so the event closure is just [this, idx] — 16
-  // bytes, always inline in the event record, even when the protocol's own
-  // delivery closure needs the heap. std::deque: records must not move
-  // while a delivery callback sends more messages.
-  struct Inflight {
-    DeliverFn cb;
-    Protocol protocol = Protocol::kOther;
-    std::size_t src = 0;
-    std::size_t bytes = 0;
-    std::uint32_t next_free = kNoInflight;
-  };
-  static constexpr std::uint32_t kNoInflight = 0xffffffffu;
 
   // Registry handles cached at set_metrics time, one set per protocol.
   struct ProtoMetricHandles {
@@ -302,8 +294,6 @@ class Transport {
   TraceSink* trace_ = nullptr;
   TransportStats stats_;
   std::vector<HostStats> host_stats_;  // empty until EnablePerHostStats
-  std::deque<Inflight> inflight_slab_;
-  std::uint32_t inflight_free_ = kNoInflight;
   std::size_t inflight_msgs_ = 0;
   std::size_t inflight_bytes_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;

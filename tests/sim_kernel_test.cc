@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -640,6 +641,42 @@ TEST(EventQueueKernel, PopAllUpToReportsPeriodicsAndRearmsThem) {
   EXPECT_EQ(fired, 5);  // 10, 110, 210, 310, 410
   EXPECT_EQ(q.size(), 1u);  // still armed for 510
   EXPECT_TRUE(q.Cancel(id));
+}
+
+TEST(EventQueueKernel, OneShotTagsRideTheRecordOnBothDrivers) {
+  // A one-shot's tag comes back in Fired::tag from Pop() and from the
+  // batched drain; untagged one-shots and periodics report 0, and a
+  // recycled record does not leak its previous tenant's tag.
+  constexpr std::uint64_t kTag = 0xfedcba9876543210ull;
+  for (const bool batched : {false, true}) {
+    EventQueue q(SchedulerKind::kTimingWheel);
+    q.Schedule(1.0, [] {}, kTag);
+    q.Schedule(2.0, [] {});
+    const EventId periodic = q.SchedulePeriodic(3.0, 100.0, [] {});
+    std::vector<std::uint64_t> tags;
+    auto record = [&](EventQueue::Fired& f) {
+      tags.push_back(f.tag);
+      if (f.is_periodic()) {
+        (*f.periodic)();
+      } else {
+        f.cb();
+      }
+    };
+    if (batched) {
+      q.PopAllUpTo(3.0, record);
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        EventQueue::Fired f = q.Pop();
+        record(f);
+        if (f.is_periodic()) q.FinishPeriodic(f.id);
+      }
+    }
+    EXPECT_EQ(tags, (std::vector<std::uint64_t>{kTag, 0, 0}))
+        << (batched ? "PopAllUpTo" : "Pop");
+    ASSERT_TRUE(q.Cancel(periodic));
+    q.Schedule(4.0, [] {});  // reuses a freed record
+    EXPECT_EQ(q.Pop().tag, 0u);
+  }
 }
 
 // ------------------------------------------------------------ slab trim --

@@ -9,6 +9,8 @@
 //  * same-seed multi-shard byte-identity, independent of the thread count,
 //  * the coalesced-vs-per-message exchange differential and its edge cases
 //    (empty outboxes, one active pair, everything in one window),
+//  * allocation-free steady-state cross-shard sends on both exchange paths
+//    (this binary counts operator new, see below),
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
 //    baseline with fewer barriers, per-message rejection of unsound
 //    entries, and ExtractLookahead's exactness/soundness against the
@@ -16,10 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <utility>
@@ -39,6 +46,80 @@
 #include "test_support.h"
 #include "util/check.h"
 #include "util/rng.h"
+
+// Counting global allocation functions for this test binary. A thread
+// counts only while it has opted in (t_count_allocs), so a test can tally
+// exactly the code it brackets while the rest of the process (thread-pool
+// bookkeeping, wall-clock histograms) allocates as it likes.
+namespace {
+
+std::atomic<std::size_t> g_counted_allocs{0};
+thread_local bool t_count_allocs = false;
+
+// Every replaceable form goes through here (the nothrow ones too, so that
+// all of them pair with the free() below); null on exhaustion.
+void* CountedAllocOrNull(std::size_t n, std::size_t align) {
+  if (t_count_allocs) g_counted_allocs.fetch_add(1, std::memory_order_relaxed);
+  n = n == 0 ? 1 : n;
+  return align <= alignof(std::max_align_t)
+             ? std::malloc(n)
+             : std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+void* CountedAlloc(std::size_t n, std::size_t align) {
+  void* p = CountedAllocOrNull(n, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n, 0); }
+void* operator new[](std::size_t n) { return CountedAlloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAllocOrNull(n, 0);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAllocOrNull(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedAllocOrNull(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return CountedAllocOrNull(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace p2p::sim {
 namespace {
@@ -511,6 +592,107 @@ TEST(ShardExchange, AllMessagesInOneWindowDrainInCanonicalOrder) {
   for (int slot = 0; slot < 16; ++slot) {
     EXPECT_EQ(order[2 * slot], slot);
     EXPECT_EQ(order[2 * slot + 1], 1000 + slot);
+  }
+}
+
+// ------------------------------------------------------ ShardAllocation --
+
+// Heartbeat-shaped cross-shard traffic on 2 shards: every 100 ms each shard
+// sends a burst of kHeartbeatBytes messages to the other shard's host,
+// each with a heartbeat-sized 32-byte delivery closure (or, while `boxed`
+// is set, a 64-byte one that util::InlineFn must put on the heap). A
+// BurstRun is what the send bursts allocated, and how many messages
+// crossed, over one measured stretch.
+struct BurstRun {
+  std::size_t allocs = 0;
+  std::size_t sent = 0;
+};
+
+TEST(ShardAllocation, SteadyStateCrossShardSendsDoNotAllocate) {
+  constexpr int kBurst = 64;
+  for (const bool coalesced : {true, false}) {
+    SCOPED_TRACE(coalesced ? "coalesced" : "per-message");
+    ShardedOptions opts;
+    opts.shards = 2;
+    opts.lookahead_ms = 10.0;
+    opts.threads = 2;
+    opts.coalesced_exchange = coalesced;
+    ShardedSimulation ssim(opts);
+    ssim.SetHostShards({0, 1});
+    std::atomic<bool> counting{false};
+    std::atomic<bool> boxed{false};
+    // on_time[s]: deliveries that landed on shard s exactly 25 ms after
+    // their send — touched only on shard s's thread.
+    std::array<std::size_t, 2> on_time{0, 0};
+    for (std::size_t s = 0; s < 2; ++s) {
+      Simulation& src = ssim.shard(s);
+      Simulation* dst = &ssim.shard(1 - s);
+      std::size_t* inbox = &on_time[1 - s];
+      src.EnableMetrics();
+      src.Every(100.0, 0.0, [&src, &counting, &boxed, s, dst, inbox] {
+        Message m;
+        m.src_host = s;
+        m.dst_host = 1 - s;
+        m.protocol = Protocol::kHeartbeat;
+        m.bytes = dht::kHeartbeatBytes;
+        Transport::SendOptions so;
+        so.delay_override_ms = 25.0;
+        const Time due = src.now() + 25.0;
+        t_count_allocs = counting.load();
+        for (std::uint32_t k = 0; k < kBurst; ++k) {
+          if (boxed.load()) {
+            const std::array<double, 5> pad{};
+            src.transport().Send(
+                m, [dst, inbox, due, pad] {
+                  if (dst->now() == due + pad[0]) ++*inbox;
+                },
+                so);
+          } else {
+            src.transport().Send(
+                m, [dst, inbox, due, k] {
+                  if (dst->now() == due && k < kBurst) ++*inbox;
+                },
+                so);
+          }
+        }
+        t_count_allocs = false;
+      });
+    }
+    const auto run = [&](Time from, Time to) {
+      ssim.RunUntil(from);
+      const std::size_t cross_before = ssim.cross_shard_messages();
+      g_counted_allocs = 0;
+      counting = true;
+      ssim.RunUntil(to);
+      counting = false;
+      return BurstRun{g_counted_allocs.load(),
+                      ssim.cross_shard_messages() - cross_before};
+    };
+    // Warm-up: bursts at 0..1000 ms grow the outbox columns, the event slab
+    // and the wheel; then 20 steady-state bursts per shard.
+    const BurstRun steady = run(1050.0, 3050.0);
+    EXPECT_EQ(steady.sent, 20u * 2 * kBurst);
+    EXPECT_EQ(steady.allocs, 0u);
+    // The counter sees a closure that does not fit inline — one heap box
+    // per message, which is what wrapping each cross-shard closure costs.
+    boxed = true;
+    const BurstRun heap = run(3050.0, 5050.0);
+    EXPECT_EQ(heap.sent, 20u * 2 * kBurst);
+    EXPECT_GE(heap.allocs, heap.sent);
+
+    // Every message (51 bursts) arrived on time and was counted as
+    // delivered by the destination bus.
+    EXPECT_EQ(on_time[0] + on_time[1], 51u * 2 * kBurst);
+    const ProtocolStats hb =
+        ssim.MergedTransportStats().protocol(Protocol::kHeartbeat);
+    EXPECT_EQ(hb.sent, 51u * 2 * kBurst);
+    EXPECT_EQ(hb.delivered, hb.sent);
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(ssim.shard(s).transport().stats().protocol(Protocol::kHeartbeat)
+                    .delivered,
+                51u * kBurst);
+      EXPECT_EQ(ssim.shard(s).transport().inflight_messages(), 0u);
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 #include "sim/simulation.h"
 #include "sim/trace.h"
 #include "sim/transport.h"
+#include "somo/report.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace p2p::sim {
@@ -319,6 +321,101 @@ TEST(Transport, InlineDeliveryRunsInsideSend) {
   EXPECT_EQ(sim.transport().stats().Total().delivered, 1u);
 }
 
+// ---------------------------------------------------------- delivery tags --
+
+TEST(Transport, TagFieldsFitTheLargestPresetWithRoomToSpare) {
+  // A SOMO root view at the 250k preset (every host's record) and its
+  // largest host index fit their tag fields at least 100x over.
+  const std::size_t hosts =
+      net::PresetParams(net::TopologyPreset::kHosts250k).end_hosts;
+  const std::size_t root_view =
+      somo::kReportHeaderBytes + hosts * somo::kPerRecordBytes;
+  EXPECT_LE(100 * root_view, Transport::kMaxMessageBytes);
+  EXPECT_LE(100 * hosts, Transport::kMaxSrcHost);
+}
+
+TEST(Transport, RejectsMessagesThatOverflowTheirTagBeforeScheduling) {
+  Simulation sim;
+  sim.EnableMetrics();
+  Transport& tp = sim.transport();
+  int ran = 0;
+  EXPECT_THROW(tp.Send(Msg(0, 1, Protocol::kSomo,
+                           Transport::kMaxMessageBytes + 1),
+                       [&ran] { ++ran; }),
+               util::CheckError);
+  EXPECT_THROW(tp.Send(Msg(Transport::kMaxSrcHost + 1, 1), [&ran] { ++ran; }),
+               util::CheckError);
+  // Nothing was counted or scheduled.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(tp.stats().Total().sent, 0u);
+  EXPECT_EQ(tp.inflight_messages(), 0u);
+
+  // At the bounds every field decodes back exactly: the protocol and
+  // host counters and the in-flight bytes (which must return to 0).
+  const std::size_t big = Transport::kMaxMessageBytes;
+  tp.EnablePerHostStats(4);
+  tp.Send(Msg(Transport::kMaxSrcHost, 1, Protocol::kSomo, big),
+          [&ran] { ++ran; });
+  tp.Send(Msg(3, 1, Protocol::kRouting, big), [&ran] { ++ran; });
+  EXPECT_EQ(tp.inflight_bytes(), 2 * big);
+  sim.Run();
+  EXPECT_EQ(ran, 2);
+  const TransportStats stats = tp.stats();
+  EXPECT_EQ(stats.protocol(Protocol::kSomo).delivered, 1u);
+  EXPECT_EQ(stats.protocol(Protocol::kRouting).delivered, 1u);
+  EXPECT_EQ(stats.Total().delivered, 2u);
+  EXPECT_EQ(tp.host_stats(3).sent, 1u);
+  EXPECT_EQ(tp.host_stats(3).delivered, 1u);
+  for (std::size_t h : {0u, 1u, 2u}) EXPECT_EQ(tp.host_stats(h).delivered, 0u);
+  EXPECT_EQ(tp.inflight_messages(), 0u);
+  EXPECT_EQ(tp.inflight_bytes(), 0u);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.messages"), 0.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.bytes"), 0.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.routing.delivered"), 1.0);
+}
+
+// An empty delivery callback is scheduled and counted like any other
+// message, whichever driver fires it.
+void CheckEmptyCallbackIsDelivered(bool step_driver) {
+  Simulation sim;
+  sim.EnableMetrics();
+  Transport& tp = sim.transport();
+  tp.EnablePerHostStats(4);
+  tp.Send(Msg(1, 2, Protocol::kSomo, 300), nullptr);
+  tp.Send(Msg(2, 1, Protocol::kHeartbeat, 200), Transport::DeliverFn{});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(tp.inflight_messages(), 2u);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.messages"), 2.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.bytes"), 500.0);
+  if (step_driver) {
+    while (sim.Step()) {
+    }
+  } else {
+    sim.RunUntil(1000.0);
+  }
+  EXPECT_EQ(sim.fired_events(), 2u);
+  const TransportStats stats = tp.stats();
+  EXPECT_EQ(stats.protocol(Protocol::kSomo).delivered, 1u);
+  EXPECT_EQ(stats.protocol(Protocol::kHeartbeat).delivered, 1u);
+  EXPECT_EQ(stats.Total().delivered, stats.Total().sent);
+  EXPECT_EQ(tp.host_stats(1).delivered, 1u);
+  EXPECT_EQ(tp.host_stats(2).delivered, 1u);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.somo.delivered"), 1.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.heartbeat.delivered"), 1.0);
+  EXPECT_EQ(tp.inflight_messages(), 0u);
+  EXPECT_EQ(tp.inflight_bytes(), 0u);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.messages"), 0.0);
+  EXPECT_DOUBLE_EQ(sim.metrics().Value("transport.inflight.bytes"), 0.0);
+}
+
+TEST(Transport, EmptyCallbackIsDeliveredUnderStep) {
+  CheckEmptyCallbackIsDelivered(/*step_driver=*/true);
+}
+
+TEST(Transport, EmptyCallbackIsDeliveredUnderRunUntil) {
+  CheckEmptyCallbackIsDelivered(/*step_driver=*/false);
+}
+
 // ---------------------------------------------------------------- tracing --
 
 TEST(Transport, TraceRecordsSendsAndDrops) {
@@ -380,9 +477,9 @@ TEST(Transport, PerHostStatsAllocateLazily) {
   Simulation sim;
   Transport& tp = sim.transport();
 
-  // Off by default: no table, and traffic does not allocate one. The
-  // first send grows the pooled in-flight slab, so warm it before taking
-  // the baseline — the deltas below then isolate the per-host table.
+  // Off by default: no table, and traffic does not allocate one. Take the
+  // baseline after a first delivery — the deltas below then isolate the
+  // per-host table from anything the first send sets up.
   EXPECT_FALSE(tp.per_host_enabled());
   tp.Send(Msg(0, 1), [] {});
   sim.Run();
@@ -410,7 +507,7 @@ TEST(Transport, PerHostStatsAllocateLazily) {
 TEST(Transport, PerHostStatsNeverShrinkAndIgnoreOutOfRangeHosts) {
   Simulation sim;
   Transport& tp = sim.transport();
-  tp.Send(Msg(0, 1), [] {});  // warm the pooled in-flight slab
+  tp.Send(Msg(0, 1), [] {});  // baseline after a first delivery
   sim.Run();
   tp.EnablePerHostStats(8);
   const std::size_t sized = tp.MemoryBytes();

@@ -120,8 +120,10 @@ fi
 # heartbeat + SOMO + transport stack at 10k hosts, serial) with its
 # per-layer table. sim.ns_per_event is the run phase's wall time over its
 # events; on a shared 4-CPU VM (RelWithDebInfo) it read 825-1310 ns before
-# heartbeat liveness moved to flat slot rows and 560-825 ns after. Warn-only,
-# like every wall-clock gate here.
+# heartbeat liveness moved to flat slot rows, 560-825 ns after, and
+# 575-638 ns (median 619, six runs) once a message became one event record
+# with its accounting in the record's tag. The threshold is ~1.2x that
+# median. Warn-only, like every wall-clock gate here.
 if command -v python3 >/dev/null 2>&1; then
   if fullstack_out=$(python3 "$repo_root/perfbench/run.py" \
       --workload fullstack_10k --trace 1 --seconds 15); then
@@ -131,8 +133,8 @@ limit = float(sys.argv[1])
 ns = json.loads(sys.stdin.read())["metrics"]["sim.ns_per_event"]["value"]
 print("fullstack_10k sim.ns_per_event %.0f ns (threshold %.0f)" % (ns, limit))
 sys.exit(0 if ns <= limit else 1)
-' 800 \
-      || echo "WARNING: fullstack_10k ns/event above 800 — inspect .bench_build/results/"
+' 740 \
+      || echo "WARNING: fullstack_10k ns/event above 740 — inspect .bench_build/results/"
   else
     echo "WARNING: perfbench fullstack_10k run failed — inspect .bench_build/build.log"
   fi
