@@ -2,10 +2,9 @@
 //
 // Drives the same synthetic protocol mix (heartbeat periodics, SOMO report
 // periodics, transport delivery one-shots, failure-timeout rearm churn)
-// through three schedulers:
+// through two schedulers:
 //
-//   wheel   sim::EventQueue, hierarchical timing wheel (the default)
-//   heap    sim::EventQueue, retained binary-heap backend
+//   wheel   sim::EventQueue, the hierarchical timing wheel
 //   legacy  a bench-local copy of the pre-wheel queue: std::function
 //           callbacks in an unordered_map keyed by id, a lazily-compacted
 //           binary heap, and periodic timers built from the old
@@ -16,7 +15,7 @@
 // Simulation::RunUntil ships — so the JSON records the batching delta on
 // the identical event stream.
 //
-// All three drivers consume the identical logical event stream — the
+// Both drivers consume the identical logical event stream — the
 // (time, seq) allocation discipline of the new queue was designed to match
 // the legacy wrapper exactly — so per-scale event counts agree and the
 // ns/event ratio legacy : wheel is a true before/after speedup.
@@ -41,7 +40,9 @@
 //                    reduction check_bench_scale.py gates.
 //   run_phase_breakdown  a four-rung ladder (wheel pop / callback dispatch /
 //                    transport resolve / metrics) over one identical event
-//                    stream; adjacent deltas price each run-loop phase.
+//                    stream, rungs interleaved within each repetition and
+//                    reported as medians with their spread; adjacent deltas
+//                    price each run-loop phase.
 //
 // Usage: bench_kernel [--json PATH] [--reps N] [--quick]
 #include <algorithm>
@@ -67,15 +68,15 @@
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace p2p::bench {
 namespace {
 
 // ---------------------------------------------------------------------------
 // Legacy queue: faithful copy of the pre-wheel src/sim/event_queue.{h,cc}.
-// Kept bench-local so the repo's production tree carries exactly one
-// reference backend (EventQueue's retained heap); this copy exists to price
-// the allocation behaviour the rewrite removed.
+// Kept bench-local so the production tree carries only the wheel; this copy
+// exists to price the allocation behaviour the rewrite removed.
 // ---------------------------------------------------------------------------
 class LegacyEventQueue {
  public:
@@ -161,16 +162,14 @@ class LegacyEventQueue {
 
 // ---------------------------------------------------------------------------
 // Drivers: a uniform five-call surface over each scheduler. The workload
-// below is templated on this so all three runs execute the same code.
+// below is templated on this so every run executes the same code.
 // ---------------------------------------------------------------------------
 
-// sim::EventQueue under either backend, using the first-class periodic API.
+// sim::EventQueue, using the first-class periodic API.
 class KernelDriver {
  public:
   using Id = sim::EventId;
   static constexpr Id kNone = sim::kInvalidEventId;
-
-  explicit KernelDriver(sim::SchedulerKind kind) : q_(kind) {}
 
   double now() const { return now_; }
 
@@ -206,7 +205,7 @@ class KernelDriver {
     return true;
   }
 
-  // Batched drain (Simulation::RunUntil's production path): one virtual
+  // Batched drain (Simulation::RunUntil's production path): one
   // PopAllUpTo call for the whole window, periodics re-armed internally.
   // `on_event` runs after each callback so the caller can count/sample.
   template <class OnEvent>
@@ -448,7 +447,7 @@ RunStats BestOfBatched(int reps, std::size_t hosts, double horizon,
                        std::uint64_t seed) {
   RunStats best;
   for (int r = 0; r < reps; ++r) {
-    KernelDriver driver(p2p::sim::SchedulerKind::kTimingWheel);
+    KernelDriver driver;
     RunStats s = RunOneBatched(driver, hosts, horizon, seed);
     if (r == 0 || s.wall_ns < best.wall_ns) best = s;
   }
@@ -458,7 +457,7 @@ RunStats BestOfBatched(int reps, std::size_t hosts, double horizon,
 struct ScaleResult {
   std::size_t hosts = 0;
   double horizon = 0.0;
-  RunStats wheel, batched, heap, legacy;
+  RunStats wheel, batched, legacy;
 };
 
 // ---------------------------------------------------------------------------
@@ -818,11 +817,25 @@ BreakdownStats RunBreakdownOnce(BreakPhase phase, std::size_t hosts,
   return stats;
 }
 
+// One rung across the repetitions: its (CHECKed identical) event stream
+// and one ns/event sample per repetition.
+struct BreakdownRung {
+  std::uint64_t events = 0;
+  std::uint64_t delivered = 0;
+  std::vector<double> ns_per_event;
+  double median() const { return util::Median(ns_per_event); }
+  double spread() const {
+    const auto [lo, hi] =
+        std::minmax_element(ns_per_event.begin(), ns_per_event.end());
+    return *hi - *lo;
+  }
+};
+
 struct BreakdownResult {
   std::size_t hosts = 0;
   double horizon = 0.0;
   // Indexed by BreakPhase.
-  std::array<BreakdownStats, 4> phases;
+  std::array<BreakdownRung, 4> phases;
 };
 
 constexpr const char* kBreakPhaseNames[4] = {
@@ -1189,12 +1202,9 @@ void WriteJson(const std::vector<ScaleResult>& results,
     w.Key("horizon_ms").Number(r.horizon);
     run("wheel", r.wheel);
     run("wheel_batched", r.batched);
-    run("heap", r.heap);
     run("legacy", r.legacy);
     w.Key("speedup_legacy_over_wheel")
         .Number(r.legacy.ns_per_event() / r.wheel.ns_per_event());
-    w.Key("speedup_legacy_over_heap")
-        .Number(r.legacy.ns_per_event() / r.heap.ns_per_event());
     // The PopAllUpTo batching delta on the wheel (>1: batching wins).
     w.Key("speedup_step_over_batched")
         .Number(r.wheel.ns_per_event() / r.batched.ns_per_event());
@@ -1266,21 +1276,24 @@ void WriteJson(const std::vector<ScaleResult>& results,
   w.EndArray();
 
   // Run-phase breakdown ladder: identical event stream, one cost layer per
-  // rung; delta_ns prices the layer against the previous rung.
+  // rung; ns_per_event is the rung's median over the interleaved
+  // repetitions, spread_ns its max - min, and delta_ns prices the layer
+  // against the previous rung's median.
   w.Key("run_phase_breakdown").BeginObject();
   w.Key("hosts").Uint(breakdown.hosts);
   w.Key("horizon_ms").Number(breakdown.horizon);
   w.Key("events").Uint(breakdown.phases[0].events);
+  w.Key("reps").Uint(breakdown.phases[0].ns_per_event.size());
   w.Key("phases").BeginArray();
   for (std::size_t i = 0; i < breakdown.phases.size(); ++i) {
-    const BreakdownStats& s = breakdown.phases[i];
+    const BreakdownRung& rung = breakdown.phases[i];
     w.BeginObject();
     w.Key("phase").String(kBreakPhaseNames[i]);
-    w.Key("ns_per_event").Number(s.ns_per_event());
+    w.Key("ns_per_event").Number(rung.median());
+    w.Key("spread_ns").Number(rung.spread());
     w.Key("delta_ns")
-        .Number(i == 0 ? s.ns_per_event()
-                       : s.ns_per_event() -
-                             breakdown.phases[i - 1].ns_per_event());
+        .Number(i == 0 ? rung.median()
+                       : rung.median() - breakdown.phases[i - 1].median());
     w.EndObject();
   }
   w.EndArray();
@@ -1330,6 +1343,8 @@ int main(int argc, char** argv) {
     if (arg == "--reps" && i + 1 < argc) reps = std::atoi(argv[++i]);
     if (arg == "--quick") quick = true;
   }
+  // Medians and spreads need at least one sample per configuration.
+  P2P_CHECK_MSG(reps >= 1, "--reps must be at least 1, got " << reps);
 
   // Horizon shrinks with scale so each sweep pops a comparable number of
   // events (~4 per host-second of virtual time).
@@ -1343,14 +1358,13 @@ int main(int argc, char** argv) {
   if (quick) scales = {{1200, 5000.0}, {10000, 2000.0}};
 
   std::printf("\n=== Event-loop kernel scale sweep ===\n");
-  std::printf("(wheel = timing-wheel EventQueue, heap = retained heap "
-              "backend,\n legacy = pre-wheel std::function/unordered_map "
-              "queue; best of %d)\n\n", reps);
+  std::printf("(wheel = timing-wheel EventQueue, legacy = pre-wheel "
+              "std::function/unordered_map queue;\n best of %d)\n\n", reps);
 
   // Untimed warm-up: the first timed configuration otherwise pays the
   // process's page faults and CPU frequency ramp and skews its ratio.
   {
-    KernelDriver wheel(p2p::sim::SchedulerKind::kTimingWheel);
+    KernelDriver wheel;
     RunOne(wheel, 1200, 3000.0, 7);
     LegacyDriver legacy;
     RunOne(legacy, 1200, 3000.0, 7);
@@ -1358,29 +1372,22 @@ int main(int argc, char** argv) {
 
   std::vector<ScaleResult> results;
   p2p::util::Table table({"hosts", "events", "wheel ns/ev", "batched ns/ev",
-                          "heap ns/ev", "legacy ns/ev", "legacy/wheel",
-                          "peak live", "peak footprint"});
+                          "legacy ns/ev", "legacy/wheel", "peak live",
+                          "peak footprint"});
   for (const auto& sc : scales) {
     ScaleResult r;
     r.hosts = sc.hosts;
     r.horizon = sc.horizon;
     const std::uint64_t seed = 1000 + sc.hosts;
-    r.wheel = BestOf(reps, sc.hosts, sc.horizon, seed, [] {
-      return std::make_unique<KernelDriver>(
-          p2p::sim::SchedulerKind::kTimingWheel);
-    });
+    r.wheel = BestOf(reps, sc.hosts, sc.horizon, seed,
+                     [] { return std::make_unique<KernelDriver>(); });
     r.batched = BestOfBatched(reps, sc.hosts, sc.horizon, seed);
-    r.heap = BestOf(reps, sc.hosts, sc.horizon, seed, [] {
-      return std::make_unique<KernelDriver>(
-          p2p::sim::SchedulerKind::kBinaryHeap);
-    });
     r.legacy = BestOf(reps, sc.hosts, sc.horizon, seed,
                       [] { return std::make_unique<LegacyDriver>(); });
 
     // The schedulers must agree on the logical stream: same pops, same
     // deliveries. A mismatch means the bench is comparing different
     // workloads and its ratios are meaningless.
-    P2P_CHECK(r.wheel.events == r.heap.events);
     P2P_CHECK(r.wheel.events == r.legacy.events);
     P2P_CHECK(r.wheel.events == r.batched.events);
     P2P_CHECK(r.wheel.delivered == r.legacy.delivered);
@@ -1392,7 +1399,7 @@ int main(int argc, char** argv) {
     table.AddRow({static_cast<long long>(r.hosts),
                   static_cast<long long>(r.wheel.events),
                   r.wheel.ns_per_event(), r.batched.ns_per_event(),
-                  r.heap.ns_per_event(), r.legacy.ns_per_event(),
+                  r.legacy.ns_per_event(),
                   r.legacy.ns_per_event() / r.wheel.ns_per_event(),
                   static_cast<long long>(r.wheel.peak_live),
                   static_cast<long long>(r.wheel.peak_footprint)});
@@ -1522,15 +1529,20 @@ int main(int argc, char** argv) {
   breakdown.horizon = quick ? 4000.0 : 10000.0;
   {
     const std::uint64_t seed = 13000 + breakdown.hosts;
-    for (int p = 0; p < 4; ++p) {
-      BreakdownStats best;
-      for (int rep = 0; rep < reps; ++rep) {
-        BreakdownStats s =
+    // Rungs interleave within each repetition, so load that drifts over the
+    // run on a shared machine lands on every rung alike instead of on
+    // whichever rung ran during it, and each rung reports its median
+    // rather than its luckiest run.
+    for (int rep = 0; rep < reps; ++rep) {
+      for (int p = 0; p < 4; ++p) {
+        const BreakdownStats s =
             RunBreakdownOnce(static_cast<BreakPhase>(p), breakdown.hosts,
                              breakdown.horizon, seed);
-        if (rep == 0 || s.wall_ns < best.wall_ns) best = s;
+        BreakdownRung& rung = breakdown.phases[static_cast<std::size_t>(p)];
+        rung.events = s.events;
+        rung.delivered = s.delivered;
+        rung.ns_per_event.push_back(s.ns_per_event());
       }
-      breakdown.phases[static_cast<std::size_t>(p)] = best;
     }
     // Identical fired-event stream on every rung, or the deltas are noise.
     for (int p = 1; p < 4; ++p) {
@@ -1543,16 +1555,16 @@ int main(int argc, char** argv) {
                 breakdown.phases[1].delivered);
     }
     std::printf("=== Run-phase breakdown (%zu hosts, identical %llu-event "
-                "stream per rung) ===\n",
+                "stream per rung; median of %d interleaved reps) ===\n",
                 breakdown.hosts,
-                static_cast<unsigned long long>(
-                    breakdown.phases[0].events));
+                static_cast<unsigned long long>(breakdown.phases[0].events),
+                reps);
     for (int p = 0; p < 4; ++p) {
-      const double ns = breakdown.phases[p].ns_per_event();
-      const double prev =
-          p == 0 ? 0.0 : breakdown.phases[p - 1].ns_per_event();
-      std::printf("  %-18s %7.1f ns/event  (+%5.1f)\n", kBreakPhaseNames[p],
-                  ns, ns - prev);
+      const double ns = breakdown.phases[p].median();
+      const double prev = p == 0 ? 0.0 : breakdown.phases[p - 1].median();
+      std::printf("  %-18s %7.1f ns/event  (%+6.1f, rung spread %5.1f)\n",
+                  kBreakPhaseNames[p], ns, ns - prev,
+                  breakdown.phases[p].spread());
     }
     std::printf("\n");
   }

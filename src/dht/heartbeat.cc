@@ -54,7 +54,7 @@ void HeartbeatProtocol::Start() {
   for (NodeIndex n = 0; n < ring_.size(); ++n) {
     if (!ring_.alive(n) || !OwnsNode(n)) continue;
     ++owned;
-    SchedulePeriodic(n);
+    InsertBeat(n);
   }
   // Rows themselves are laid out lazily, on each node's first beat or
   // delivery; only the storage is sized here, to the nodes this instance
@@ -78,7 +78,6 @@ void HeartbeatProtocol::BindShard(
 
 void HeartbeatProtocol::Stop() {
   running_ = false;
-  for (auto& t : tokens_) sim::Simulation::CancelPeriodic(t);
   sim_.Cancel(beat_walker_);
   beat_walker_ = sim::kInvalidEventId;
   beat_order_.clear();
@@ -91,28 +90,18 @@ void HeartbeatProtocol::OnNodeJoined(NodeIndex n) {
     row_of_.resize(n + 1, kNoRow);
     detected_.resize(n + 1, 0);
   }
-  if (OwnsNode(n)) SchedulePeriodic(n);
+  if (OwnsNode(n)) InsertBeat(n);
 }
 
-void HeartbeatProtocol::SchedulePeriodic(NodeIndex n) {
-  // Desynchronise nodes with a random phase within one period. Both paths
-  // draw identically, so the rng stream (and everything downstream of it)
-  // does not depend on batch_beats.
-  const sim::Time phase = sim_.rng().Uniform(0.0, config_.period_ms);
-  if (!config_.batch_beats) {
-    if (tokens_.size() <= n) tokens_.resize(n + 1);
-    tokens_[n] = sim_.Every(config_.period_ms, phase, [this, n] { Beat(n); });
-    return;
-  }
-  InsertBeat(sim_.now() + phase, n);
-}
-
-void HeartbeatProtocol::InsertBeat(sim::Time first, NodeIndex n) {
+void HeartbeatProtocol::InsertBeat(NodeIndex n) {
+  // Desynchronise nodes with a random phase within one period.
+  const sim::Time first =
+      sim_.now() + sim_.rng().Uniform(0.0, config_.period_ms);
   // The row is cyclically ascending: [cursor, end) then [0, cursor). A
   // deadline past the current segment's tail belongs to the wrapped
   // segment (it fires next cycle). Ties insert after existing entries —
-  // the per-node timer a joiner would have created carries a younger seq
-  // than anything already scheduled at that time.
+  // the order per-node periodic timers would give, since a joiner's timer
+  // would carry a younger seq than anything already scheduled then.
   const auto fires_no_later = [first](const std::pair<sim::Time, NodeIndex>&
                                           e) { return e.first <= first; };
   std::size_t pos;
@@ -400,7 +389,6 @@ std::size_t HeartbeatProtocol::MemoryBytes() const {
   bytes += spill_.size() *
            (sizeof(std::pair<const std::uint64_t, sim::Time>) + sizeof(void*));
   bytes += spill_.bucket_count() * sizeof(void*);
-  bytes += tokens_.capacity() * sizeof(sim::Simulation::PeriodicToken);
   bytes += beat_order_.capacity() * sizeof(std::pair<sim::Time, NodeIndex>);
   bytes += detected_.capacity();
   bytes += suspected_.capacity() * sizeof(std::vector<NodeIndex>);

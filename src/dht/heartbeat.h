@@ -45,18 +45,6 @@ struct HeartbeatConfig {
   // in-band alerting experiments use this to make the disseminated SOMO
   // view, not simulator ground truth, the thing that heals the ring.
   bool auto_repair = true;
-  // Batch-tick the beat timers (default): every node shares one period, so
-  // beats recur in a fixed cyclic order — one self-rescheduling walker
-  // event sweeps the phase-sorted beat row and fires each node at exactly
-  // the time its own periodic timer would have fired (deadlines accumulate
-  // += period per node, matching the event queue's re-arm arithmetic
-  // bit-for-bit). The observable stream — beat times, send order, observer
-  // callbacks, metrics — is byte-identical to the per-node path (pinned by
-  // a differential test); what changes is the event-queue working set: one
-  // always-hot walker record instead of N periodic records scattered
-  // across the slab, which is where the run-phase profile showed the
-  // heartbeat tax at 50k+ hosts. Set false to retain per-node timers.
-  bool batch_beats = true;
 };
 
 // Modelled heartbeat wire size: the paper pads heartbeats to ~1.5 KB so
@@ -96,7 +84,7 @@ class HeartbeatProtocol {
   // the shared, stabilized Ring); BindShard tells each instance which nodes
   // it owns (`shard_of_host` indexed by ring host, owned by the caller and
   // outliving the protocol) and where its peers live. After binding, Start
-  // schedules periodic beats only for owned nodes, and delivery closures
+  // schedules beats only for owned nodes, and delivery closures
   // target the receiver's owning instance, so all mutable per-node state
   // (slot rows, spill, suspected_) is touched exclusively by its owner's
   // shard thread. Serial runs never call this; an unbound instance owns
@@ -169,10 +157,10 @@ class HeartbeatProtocol {
   static constexpr std::uint32_t kNoSlot = 0xffu;
   static constexpr sim::Time kNeverHeard = -1.0;
 
-  void SchedulePeriodic(NodeIndex n);
-  // Batched beats: insert node n's first deadline into the cyclic beat
-  // row, keeping the walker's wakeup aligned with the earliest entry.
-  void InsertBeat(sim::Time first, NodeIndex n);
+  // Draw node n's random beat phase and insert its first deadline into the
+  // cyclic beat row, keeping the walker's wakeup aligned with the earliest
+  // entry.
+  void InsertBeat(NodeIndex n);
   // Fire every beat whose deadline equals the walker's wakeup time, then
   // reschedule for the next entry.
   void BeatSweep();
@@ -206,7 +194,7 @@ class HeartbeatProtocol {
     return (static_cast<std::uint64_t>(receiver) << 32) | sender;
   }
 
-  // True when this instance schedules node n's timers and receives its
+  // True when this instance schedules node n's beats and receives its
   // heartbeats (always true when unbound).
   bool OwnsNode(NodeIndex n) const {
     return shard_of_host_ == nullptr ||
@@ -241,13 +229,17 @@ class HeartbeatProtocol {
   std::vector<Slot> rows_;                // row r: [r * width_, +width_)
   std::unordered_map<std::uint64_t, sim::Time> spill_;  // SpillKey -> heard
   std::vector<Slot> scratch_;             // BuildRow's staging row
-  std::vector<sim::Simulation::PeriodicToken> tokens_;  // !batch_beats only
-  // Batched beats (config_.batch_beats): the beat row, cyclically sorted
-  // by next deadline — [beat_cursor_, end) then [0, beat_cursor_) is
-  // ascending. The sweep advances each fired entry by one period in
+  // Beats: every node shares one period, so beats recur in a fixed cyclic
+  // order, and one self-rescheduling walker event (beat_walker_) sweeps
+  // this row, firing each node at exactly the time a periodic timer of its
+  // own would fire (deadlines accumulate += period per node, the event
+  // queue's re-arm arithmetic). One always-hot walker record replaces N
+  // periodic records scattered across the slab. The row is cyclically
+  // sorted by next deadline — [beat_cursor_, end) then [0, beat_cursor_)
+  // is ascending. The sweep advances each fired entry by one period in
   // place, which preserves the ordering (x < y implies x+p <= y+p, and
-  // rounding ties keep their row order, matching the per-node timers'
-  // seq order).
+  // rounding ties keep their row order, the order per-node timers' seqs
+  // would give).
   std::vector<std::pair<sim::Time, NodeIndex>> beat_order_;
   std::size_t beat_cursor_ = 0;
   sim::EventId beat_walker_ = sim::kInvalidEventId;

@@ -9,66 +9,25 @@
 
 namespace p2p::sim {
 
-// ---------------------------------------------------------------------------
-// Ordering backends. A backend owns only the ORDER of scheduled slab
-// records; the records themselves (time, seq, callback, state) live in the
-// facade's slab. Liveness for the lazy structures is resolved through
-// OccurrenceLive(slot, seq): a (slot, seq) pair names one occurrence of one
-// event, so a stale heap entry can never resurrect a cancelled or re-armed
-// record.
-// ---------------------------------------------------------------------------
-
-class EventQueue::Backend {
- public:
-  explicit Backend(EventQueue& q) : q_(q) {}
-  virtual ~Backend() = default;
-
-  Backend(const Backend&) = delete;
-  Backend& operator=(const Backend&) = delete;
-
-  // `slot` is kScheduled with its final (time, seq) when Add is called.
-  virtual void Add(std::uint32_t slot) = 0;
-  // Called while the occurrence named by the backend's entry is already
-  // dead (seq bumped or state changed), so lazy backends may compact.
-  virtual void Remove(std::uint32_t slot) = 0;
-  virtual std::uint32_t PeekMin() = 0;
-  virtual std::uint32_t PopMin() = 0;
-  virtual std::size_t footprint() const = 0;
-
-  // Batched drain (EventQueue::PopAllUpTo): the generic loop still pays a
-  // virtual peek+pop per event — it exists so every backend supports the
-  // API; backends with an inline-walkable "next run" structure override it.
-  virtual void PopAllUpTo(Time t_end, void* ctx, EventQueue::SinkFn sink) {
-    while (!QueueEmpty()) {
-      const std::uint32_t slot = PeekMin();
-      if (time_of(slot) > t_end) return;
-      PopMin();
-      Emit(slot, ctx, sink);
-    }
-  }
-
- protected:
-  // Flat ordering keys — the hot reads of every compare/sort/min scan.
-  Time time_of(std::uint32_t slot) const { return q_.keys_[slot].time; }
-  std::uint64_t seq_of(std::uint32_t slot) const { return q_.keys_[slot].seq; }
-  // The backend's private per-slot location word (wheel: packed bucket
-  // index + position). Valid only while the slot is scheduled.
-  std::uint64_t& word_of(std::uint32_t slot) { return q_.keys_[slot].backend_word; }
-  bool Live(std::uint32_t slot, std::uint64_t seq) const {
-    return q_.OccurrenceLive(slot, seq);
-  }
-  bool QueueEmpty() const { return q_.live_count_ == 0; }
-  // Run one popped slot through the sink (fire one-shot / fire + re-arm
-  // periodic); the slot must already be detached from the backend.
-  void Emit(std::uint32_t slot, void* ctx, EventQueue::SinkFn sink) {
-    q_.EmitSlot(slot, ctx, sink);
-  }
-
- private:
-  EventQueue& q_;
-};
-
 namespace {
+
+// Per-slot location, packed into the Key record's wheel_word so it travels
+// on the cache line the queue already touches: bits 0-7 kind, 8-23 global
+// bucket index (level * 256 + slot), 32-63 position within the bucket
+// vector or due_. kNowhere is 0 — a freshly allocated key word reads as
+// "not placed".
+enum LocKind : std::uint8_t { kNowhere, kInBucket, kInDue, kInOverflow };
+LocKind KindOf(std::uint64_t w) { return static_cast<LocKind>(w & 0xff); }
+std::uint16_t BucketOf(std::uint64_t w) {
+  return static_cast<std::uint16_t>((w >> 8) & 0xffff);
+}
+std::uint32_t PosOf(std::uint64_t w) {
+  return static_cast<std::uint32_t>(w >> 32);
+}
+std::uint64_t PackLoc(LocKind kind, std::uint16_t bucket, std::uint64_t pos) {
+  return static_cast<std::uint64_t>(kind) |
+         (static_cast<std::uint64_t>(bucket) << 8) | (pos << 32);
+}
 
 // Strict (time, seq) "fires later" order. std::push_heap and friends build
 // a max-heap, so heaping with this comparator keeps the earliest entry at
@@ -78,10 +37,19 @@ bool FiresLater(const T& a, const T& b) {
   return a.time > b.time || (a.time == b.time && a.seq > b.seq);
 }
 
+// Casting a double >= 2^63 to uint64 is UB; times this far out (~127
+// millennia of simulated ms) collapse into one sentinel tick and order
+// purely by exact (time, seq) in the due list.
+constexpr std::uint64_t kHugeTick = std::uint64_t{1} << 62;
+std::uint64_t TickOf(Time t) {
+  if (t >= 4.0e15) return kHugeTick;
+  return static_cast<std::uint64_t>(t);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// WheelBackend — hierarchical timing wheel (default).
+// Wheel — the hierarchical timing wheel that orders the slab records.
 //
 // Three levels of 256 buckets cover ticks (whole milliseconds) relative to
 // the wheel clock `current_tick_`:
@@ -108,448 +76,320 @@ bool FiresLater(const T& a, const T& b) {
 //
 // Cancellation in buckets and due_ is eager (per-slot location tracking),
 // so only the overflow heap carries garbage — that keeps heap_footprint()
-// within the documented 2 * live + 1 bound.
+// within the documented 2 * live + 1 bound. The overflow heap resolves
+// liveness through OccurrenceLive(slot, seq).
 // ---------------------------------------------------------------------------
 
-class EventQueue::WheelBackend final : public EventQueue::Backend {
- public:
-  explicit WheelBackend(EventQueue& q) : Backend(q) { occ_.fill(0); }
+EventQueue::Wheel::Wheel(EventQueue& q) : q_(q) {}
 
-  void Add(std::uint32_t slot) override {
-    Place(slot);
-    // Keep the cached minimum correct: a strictly earlier arrival takes
-    // over; on a time tie the incumbent wins (its seq is smaller).
-    if (cache_ != kNoSlot && time_of(slot) < cache_time_) {
-      cache_ = slot;
-      cache_time_ = time_of(slot);
-    }
-  }
-
-  void Remove(std::uint32_t slot) override {
-    if (slot == cache_) cache_ = kNoSlot;
-    const std::uint64_t w = word_of(slot);
-    switch (KindOf(w)) {
-      case kInBucket: {
-        std::vector<std::uint32_t>& b = buckets_[BucketOf(w)];
-        const std::uint32_t pos = PosOf(w);
-        b[pos] = b.back();
-        word_of(b[pos]) = PackLoc(kInBucket, BucketOf(w), pos);
-        b.pop_back();
-        --bucket_entries_;
-        if (b.empty()) ClearBit(BucketOf(w));
-        break;
-      }
-      case kInDue: {
-        due_.erase(due_.begin() + PosOf(w));
-        for (std::size_t i = PosOf(w); i < due_.size(); ++i) {
-          word_of(due_[i].slot) =
-              PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
-        }
-        // Cancelling the last pending entry must leave due_ truly empty
-        // (not a served prefix with cursor == size): ServeBucketAsDue
-        // swaps the next tick's bucket into due_ and relies on it.
-        if (due_cursor_ >= due_.size()) {
-          due_.clear();
-          due_cursor_ = 0;
-        }
-        break;
-      }
-      case kInOverflow:
-        ++ov_garbage_;
-        // Each compaction discards at least half the heap, so the cost
-        // amortises to O(1) per cancellation.
-        if (ov_garbage_ > overflow_.size() / 2) CompactOverflow();
-        break;
-      case kNowhere:
-        break;
-    }
-    word_of(slot) = kNowhere;
-  }
-
-  std::uint32_t PeekMin() override {
-    if (cache_ != kNoSlot) return cache_;
-    // Read-only min: the ordered-hierarchy invariant means the earliest
-    // entry is in due_, else the first occupied bucket of the lowest
-    // occupied level, else the overflow top. No cascading here — peeking
-    // must not move the wheel clock, or a later Schedule at a time between
-    // now and the peeked event would land behind the clock.
-    std::uint32_t best = kNoSlot;
-    if (due_cursor_ < due_.size()) {
-      best = due_[due_cursor_].slot;
-    } else {
-      for (int level = 0; level < 3 && best == kNoSlot; ++level) {
-        const int idx = FindFirst(level);
-        if (idx >= 0) best = MinOfBucket(buckets_[level * 256 + idx]);
-      }
-      if (best == kNoSlot) {
-        DropOverflowGarbage();
-        P2P_CHECK(!overflow_.empty());
-        best = overflow_.front().slot;
-      }
-    }
-    cache_ = best;
-    cache_time_ = time_of(best);
-    return best;
-  }
-
-  std::uint32_t PopMin() override {
-    cache_ = kNoSlot;
-    for (;;) {
-      if (due_cursor_ < due_.size()) {
-        const std::uint32_t slot = due_[due_cursor_++].slot;
-        word_of(slot) = kNowhere;
-        if (due_cursor_ == due_.size()) {
-          due_.clear();
-          due_cursor_ = 0;
-        }
-        return slot;
-      }
-      const int i0 = FindFirst(0);
-      if (i0 >= 0) {
-        current_tick_ = (current_tick_ & ~0xffull) |
-                        static_cast<std::uint64_t>(i0);
-        ServeBucketAsDue(i0);
-        continue;
-      }
-      const int j1 = FindFirst(1);
-      if (j1 >= 0) {
-        current_tick_ = (current_tick_ & ~0xffffull) |
-                        (static_cast<std::uint64_t>(j1) << 8);
-        CascadeBucket(256 + j1);
-        continue;
-      }
-      const int j2 = FindFirst(2);
-      if (j2 >= 0) {
-        current_tick_ = (current_tick_ & ~0xffffffull) |
-                        (static_cast<std::uint64_t>(j2) << 16);
-        CascadeBucket(512 + j2);
-        continue;
-      }
-      // Wheel empty: jump the clock to the overflow minimum and pull
-      // everything in its 2^24-tick window back into the wheel. Safe
-      // because all wheel windows are empty and overflow entries are the
-      // only events left.
-      DropOverflowGarbage();
-      P2P_CHECK(!overflow_.empty());
-      current_tick_ = TickOf(overflow_.front().time);
-      while (!overflow_.empty()) {
-        const OvItem top = overflow_.front();
-        if (!Live(top.slot, top.seq)) {
-          PopOverflowTop();
-          --ov_garbage_;
-          continue;
-        }
-        if ((TickOf(top.time) >> 24) != (current_tick_ >> 24)) break;
-        PopOverflowTop();
-        Place(top.slot);
-      }
-    }
-  }
-
-  std::size_t footprint() const override {
-    return bucket_entries_ + (due_.size() - due_cursor_) + overflow_.size();
-  }
-
-  // Batched drain: walk the due-run cursor inline — no virtual peek/pop
-  // per event — falling back to PeekMin/PopMin (devirtualised: this class
-  // is final) only when the wheel has to advance or cascade. Sink
-  // callbacks may schedule, cancel, or re-arm freely: the inner loop
-  // re-reads due_/due_cursor_ after every emit, and InsertDue/Remove keep
-  // the served prefix invariant.
-  void PopAllUpTo(Time t_end, void* ctx, EventQueue::SinkFn sink) override {
-    while (!QueueEmpty()) {
-      while (due_cursor_ < due_.size()) {
-        const DueItem& it = due_[due_cursor_];
-        if (it.time > t_end) return;
-        const std::uint32_t slot = it.slot;
-        if (slot == cache_) cache_ = kNoSlot;
-        ++due_cursor_;
-        word_of(slot) = kNowhere;
-        if (due_cursor_ == due_.size()) {
-          due_.clear();
-          due_cursor_ = 0;
-        }
-        Emit(slot, ctx, sink);
-      }
-      if (QueueEmpty()) return;
-      const std::uint32_t slot = PeekMin();
-      if (time_of(slot) > t_end) return;
-      PopMin();  // advances the wheel clock / cascades, then pops `slot`
-      Emit(slot, ctx, sink);
-    }
-  }
-
- private:
-  // Per-slot location, packed into the Key record's backend_word so it
-  // travels on the cache line the queue already touches: bits 0-7 kind,
-  // 8-23 global bucket index (level * 256 + slot), 32-63 position within
-  // the bucket vector or due_. kNowhere is 0 — a freshly allocated key
-  // word reads as "not placed".
-  enum LocKind : std::uint8_t { kNowhere, kInBucket, kInDue, kInOverflow };
-  static LocKind KindOf(std::uint64_t w) {
-    return static_cast<LocKind>(w & 0xff);
-  }
-  static std::uint16_t BucketOf(std::uint64_t w) {
-    return static_cast<std::uint16_t>((w >> 8) & 0xffff);
-  }
-  static std::uint32_t PosOf(std::uint64_t w) {
-    return static_cast<std::uint32_t>(w >> 32);
-  }
-  static std::uint64_t PackLoc(LocKind kind, std::uint16_t bucket,
-                               std::uint64_t pos) {
-    return static_cast<std::uint64_t>(kind) |
-           (static_cast<std::uint64_t>(bucket) << 8) | (pos << 32);
-  }
-  struct OvItem {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  // Dense due-run entry: the ordering keys ride alongside the slot so the
-  // per-tick sort and the pop scan read contiguous 24-byte records instead
-  // of gathering time_/seq_ at random slab indices per comparison.
-  using DueItem = OvItem;
-
-  // Casting a double >= 2^63 to uint64 is UB; times this far out (~127
-  // millennia of simulated ms) collapse into one sentinel tick and order
-  // purely by exact (time, seq) in the due list.
-  static constexpr std::uint64_t kHugeTick = std::uint64_t{1} << 62;
-  static std::uint64_t TickOf(Time t) {
-    if (t >= 4.0e15) return kHugeTick;
-    return static_cast<std::uint64_t>(t);
-  }
-
-  void Place(std::uint32_t slot) {
-    const Time t = time_of(slot);
-    const std::uint64_t tick = TickOf(t);
-    if (tick <= current_tick_) {
-      // The tick being served right now (or the sentinel tick).
-      InsertDue(slot);
-      return;
-    }
-    int bucket = -1;
-    if ((tick >> 8) == (current_tick_ >> 8)) {
-      bucket = static_cast<int>(tick & 0xff);
-    } else if ((tick >> 16) == (current_tick_ >> 16)) {
-      bucket = 256 + static_cast<int>((tick >> 8) & 0xff);
-    } else if ((tick >> 24) == (current_tick_ >> 24)) {
-      bucket = 512 + static_cast<int>((tick >> 16) & 0xff);
-    }
-    if (bucket < 0) {
-      overflow_.push_back(OvItem{t, seq_of(slot), slot});
-      std::push_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
-      word_of(slot) = kInOverflow;
-      return;
-    }
-    std::vector<std::uint32_t>& b = buckets_[bucket];
-    word_of(slot) = PackLoc(kInBucket, static_cast<std::uint16_t>(bucket),
-                            b.size());
-    b.push_back(slot);
-    ++bucket_entries_;
-    SetBit(bucket);
-  }
-
-  void InsertDue(std::uint32_t slot) {
-    const Time st = time_of(slot);
-    const std::uint64_t ss = seq_of(slot);
-    // Binary insert by (time, seq), clamped to at or after the cursor so
-    // already-served positions are never disturbed.
-    std::size_t lo = due_cursor_;
-    std::size_t hi = due_.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      const DueItem& m = due_[mid];
-      if (m.time < st || (m.time == st && m.seq < ss)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    due_.insert(due_.begin() + lo, DueItem{st, ss, slot});
-    for (std::size_t i = lo; i < due_.size(); ++i) {
-      word_of(due_[i].slot) =
-          PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // Level-0 bucket `idx` holds exactly one tick; move it into due_ sorted
-  // by exact (time, seq).
-  void ServeBucketAsDue(int idx) {
-    std::vector<std::uint32_t>& b = buckets_[idx];
-    // due_ is empty and cursor 0 whenever the wheel advances; gather the
-    // bucket's keys into dense records so the sort never leaves the run.
-    due_.clear();
-    due_.reserve(b.size());
-    for (const std::uint32_t slot : b) {
-      due_.push_back(DueItem{time_of(slot), seq_of(slot), slot});
-    }
-    bucket_entries_ -= b.size();
-    b.clear();
-    ClearBit(idx);
-    std::sort(due_.begin(), due_.end(),
-              [](const DueItem& x, const DueItem& y) {
-                return x.time < y.time || (x.time == y.time && x.seq < y.seq);
-              });
-    due_cursor_ = 0;
-    for (std::size_t i = 0; i < due_.size(); ++i) {
-      word_of(due_[i].slot) =
-          PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // Re-place every entry of a level-1/2 bucket after the clock advanced to
-  // its base tick; entries land one level down (or in due_ for the base
-  // tick itself).
-  void CascadeBucket(int idx) {
-    std::vector<std::uint32_t>& b = buckets_[idx];
-    scratch_.clear();
-    scratch_.swap(b);
-    bucket_entries_ -= scratch_.size();
-    ClearBit(idx);
-    for (const std::uint32_t slot : scratch_) Place(slot);
-  }
-
-  std::uint32_t MinOfBucket(const std::vector<std::uint32_t>& b) const {
-    std::uint32_t best = kNoSlot;
-    for (const std::uint32_t slot : b) {
-      if (best == kNoSlot) {
-        best = slot;
-        continue;
-      }
-      const Time ts = time_of(slot);
-      const Time tb = time_of(best);
-      if (ts < tb || (ts == tb && seq_of(slot) < seq_of(best))) best = slot;
-    }
-    return best;
-  }
-
-  void SetBit(int bucket) {
-    occ_[static_cast<std::size_t>(bucket) >> 6] |=
-        std::uint64_t{1} << (bucket & 63);
-  }
-  void ClearBit(int bucket) {
-    occ_[static_cast<std::size_t>(bucket) >> 6] &=
-        ~(std::uint64_t{1} << (bucket & 63));
-  }
-  // First occupied bucket of `level`, as an intra-level index, or -1.
-  int FindFirst(int level) const {
-    for (int w = 0; w < 4; ++w) {
-      const std::uint64_t word = occ_[level * 4 + w];
-      if (word != 0) return w * 64 + std::countr_zero(word);
-    }
-    return -1;
-  }
-
-  void PopOverflowTop() {
-    std::pop_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
-    overflow_.pop_back();
-  }
-  void DropOverflowGarbage() {
-    while (!overflow_.empty() &&
-           !Live(overflow_.front().slot, overflow_.front().seq)) {
-      PopOverflowTop();
-      --ov_garbage_;
-    }
-  }
-  void CompactOverflow() {
-    std::erase_if(overflow_, [this](const OvItem& it) {
-      return !Live(it.slot, it.seq);
-    });
-    std::make_heap(overflow_.begin(), overflow_.end(), FiresLater<OvItem>);
-    ov_garbage_ = 0;
-  }
-
-  std::uint64_t current_tick_ = 0;
-  std::array<std::vector<std::uint32_t>, 768> buckets_;
-  std::array<std::uint64_t, 12> occ_;  // 256-bit occupancy bitmap per level
-  std::size_t bucket_entries_ = 0;
-  std::vector<DueItem> due_;  // current tick, sorted by (time, seq)
-  std::size_t due_cursor_ = 0;
-  std::vector<OvItem> overflow_;  // beyond-horizon min-heap (lazy cancel)
-  std::size_t ov_garbage_ = 0;
-  std::vector<std::uint32_t> scratch_;
-  // Cached result of PeekMin, invalidated by pops and by removal of the
-  // cached slot; keeps RunUntil's peek-then-pop loop O(1) per event.
-  std::uint32_t cache_ = kNoSlot;
-  Time cache_time_ = 0.0;
-};
-
-// ---------------------------------------------------------------------------
-// HeapBackend — the retained reference implementation: a flat binary
-// min-heap with lazy cancellation. Cancelled entries stay until they
-// surface; once they outnumber the live ones, a filter-and-reheapify pass
-// discards them — O(heap), but at least half the entries go, so the cost
-// amortises to O(1) per cancellation and the footprint stays within
-// 2 * live + 1 entries.
-// ---------------------------------------------------------------------------
-
-class EventQueue::HeapBackend final : public EventQueue::Backend {
- public:
-  explicit HeapBackend(EventQueue& q) : Backend(q) {}
-
-  void Add(std::uint32_t slot) override {
-    items_.push_back(Item{time_of(slot), seq_of(slot), slot});
-    std::push_heap(items_.begin(), items_.end(), FiresLater<Item>);
-  }
-
-  void Remove(std::uint32_t) override {
-    ++garbage_;
-    if (garbage_ <= items_.size() / 2) return;
-    std::erase_if(items_, [this](const Item& it) {
-      return !Live(it.slot, it.seq);
-    });
-    std::make_heap(items_.begin(), items_.end(), FiresLater<Item>);
-    garbage_ = 0;
-  }
-
-  std::uint32_t PeekMin() override {
-    DropGarbageHead();
-    return items_.front().slot;
-  }
-
-  std::uint32_t PopMin() override {
-    DropGarbageHead();
-    const std::uint32_t slot = items_.front().slot;
-    std::pop_heap(items_.begin(), items_.end(), FiresLater<Item>);
-    items_.pop_back();
-    return slot;
-  }
-
-  std::size_t footprint() const override { return items_.size(); }
-
- private:
-  struct Item {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-
-  void DropGarbageHead() {
-    while (!items_.empty() &&
-           !Live(items_.front().slot, items_.front().seq)) {
-      std::pop_heap(items_.begin(), items_.end(), FiresLater<Item>);
-      items_.pop_back();
-      --garbage_;
-    }
-  }
-
-  std::vector<Item> items_;
-  std::size_t garbage_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------------
-
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::kTimingWheel) {
-    backend_ = std::make_unique<WheelBackend>(*this);
-  } else {
-    backend_ = std::make_unique<HeapBackend>(*this);
+void EventQueue::Wheel::Add(std::uint32_t slot) {
+  Place(slot);
+  // Keep the cached minimum correct: a strictly earlier arrival takes
+  // over; on a time tie the incumbent wins (its seq is smaller).
+  if (cache_ != kNoSlot && time_of(slot) < cache_time_) {
+    cache_ = slot;
+    cache_time_ = time_of(slot);
   }
 }
 
-EventQueue::~EventQueue() = default;
+void EventQueue::Wheel::Remove(std::uint32_t slot) {
+  if (slot == cache_) cache_ = kNoSlot;
+  const std::uint64_t w = word_of(slot);
+  switch (KindOf(w)) {
+    case kInBucket: {
+      std::vector<std::uint32_t>& b = buckets_[BucketOf(w)];
+      const std::uint32_t pos = PosOf(w);
+      b[pos] = b.back();
+      word_of(b[pos]) = PackLoc(kInBucket, BucketOf(w), pos);
+      b.pop_back();
+      --bucket_entries_;
+      if (b.empty()) ClearBit(BucketOf(w));
+      break;
+    }
+    case kInDue: {
+      due_.erase(due_.begin() + PosOf(w));
+      for (std::size_t i = PosOf(w); i < due_.size(); ++i) {
+        word_of(due_[i].slot) =
+            PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
+      }
+      // Cancelling the last pending entry must leave due_ truly empty
+      // (not a served prefix with cursor == size): ServeBucketAsDue
+      // swaps the next tick's bucket into due_ and relies on it.
+      if (due_cursor_ >= due_.size()) {
+        due_.clear();
+        due_cursor_ = 0;
+      }
+      break;
+    }
+    case kInOverflow:
+      ++ov_garbage_;
+      // Each compaction discards at least half the heap, so the cost
+      // amortises to O(1) per cancellation.
+      if (ov_garbage_ > overflow_.size() / 2) CompactOverflow();
+      break;
+    case kNowhere:
+      break;
+  }
+  word_of(slot) = kNowhere;
+}
+
+std::uint32_t EventQueue::Wheel::PeekMin() {
+  if (cache_ != kNoSlot) return cache_;
+  // Read-only min: the ordered-hierarchy invariant means the earliest
+  // entry is in due_, else the first occupied bucket of the lowest
+  // occupied level, else the overflow top. No cascading here — peeking
+  // must not move the wheel clock, or a later Schedule at a time between
+  // now and the peeked event would land behind the clock.
+  std::uint32_t best = kNoSlot;
+  if (due_cursor_ < due_.size()) {
+    best = due_[due_cursor_].slot;
+  } else {
+    for (int level = 0; level < 3 && best == kNoSlot; ++level) {
+      const int idx = FindFirst(level);
+      if (idx >= 0) best = MinOfBucket(buckets_[level * 256 + idx]);
+    }
+    if (best == kNoSlot) {
+      DropOverflowGarbage();
+      P2P_CHECK(!overflow_.empty());
+      best = overflow_.front().slot;
+    }
+  }
+  cache_ = best;
+  cache_time_ = time_of(best);
+  return best;
+}
+
+std::uint32_t EventQueue::Wheel::PopMin() {
+  cache_ = kNoSlot;
+  for (;;) {
+    if (due_cursor_ < due_.size()) {
+      const std::uint32_t slot = due_[due_cursor_++].slot;
+      word_of(slot) = kNowhere;
+      if (due_cursor_ == due_.size()) {
+        due_.clear();
+        due_cursor_ = 0;
+      }
+      return slot;
+    }
+    const int i0 = FindFirst(0);
+    if (i0 >= 0) {
+      current_tick_ =
+          (current_tick_ & ~0xffull) | static_cast<std::uint64_t>(i0);
+      ServeBucketAsDue(i0);
+      continue;
+    }
+    const int j1 = FindFirst(1);
+    if (j1 >= 0) {
+      current_tick_ = (current_tick_ & ~0xffffull) |
+                      (static_cast<std::uint64_t>(j1) << 8);
+      CascadeBucket(256 + j1);
+      continue;
+    }
+    const int j2 = FindFirst(2);
+    if (j2 >= 0) {
+      current_tick_ = (current_tick_ & ~0xffffffull) |
+                      (static_cast<std::uint64_t>(j2) << 16);
+      CascadeBucket(512 + j2);
+      continue;
+    }
+    // Wheel empty: jump the clock to the overflow minimum and pull
+    // everything in its 2^24-tick window back into the wheel. Safe
+    // because all wheel windows are empty and overflow entries are the
+    // only events left.
+    DropOverflowGarbage();
+    P2P_CHECK(!overflow_.empty());
+    current_tick_ = TickOf(overflow_.front().time);
+    while (!overflow_.empty()) {
+      const Item top = overflow_.front();
+      if (!q_.OccurrenceLive(top.slot, top.seq)) {
+        PopOverflowTop();
+        --ov_garbage_;
+        continue;
+      }
+      if ((TickOf(top.time) >> 24) != (current_tick_ >> 24)) break;
+      PopOverflowTop();
+      Place(top.slot);
+    }
+  }
+}
+
+std::size_t EventQueue::Wheel::footprint() const {
+  return bucket_entries_ + (due_.size() - due_cursor_) + overflow_.size();
+}
+
+// Batched drain: walk the due-run cursor inline, falling back to
+// PeekMin/PopMin only when the wheel has to advance or cascade. Sink
+// callbacks may schedule, cancel, or re-arm freely: the inner loop
+// re-reads due_/due_cursor_ after every emit, and InsertDue/Remove keep
+// the served prefix invariant.
+void EventQueue::Wheel::PopAllUpTo(Time t_end, void* ctx, SinkFn sink) {
+  while (!q_.empty()) {
+    while (due_cursor_ < due_.size()) {
+      const Item& it = due_[due_cursor_];
+      if (it.time > t_end) return;
+      const std::uint32_t slot = it.slot;
+      if (slot == cache_) cache_ = kNoSlot;
+      ++due_cursor_;
+      word_of(slot) = kNowhere;
+      if (due_cursor_ == due_.size()) {
+        due_.clear();
+        due_cursor_ = 0;
+      }
+      q_.EmitSlot(slot, ctx, sink);
+    }
+    if (q_.empty()) return;
+    const std::uint32_t slot = PeekMin();
+    if (time_of(slot) > t_end) return;
+    PopMin();  // advances the wheel clock / cascades, then pops `slot`
+    q_.EmitSlot(slot, ctx, sink);
+  }
+}
+
+void EventQueue::Wheel::Place(std::uint32_t slot) {
+  const Time t = time_of(slot);
+  const std::uint64_t tick = TickOf(t);
+  if (tick <= current_tick_) {
+    // The tick being served right now (or the sentinel tick).
+    InsertDue(slot);
+    return;
+  }
+  int bucket = -1;
+  if ((tick >> 8) == (current_tick_ >> 8)) {
+    bucket = static_cast<int>(tick & 0xff);
+  } else if ((tick >> 16) == (current_tick_ >> 16)) {
+    bucket = 256 + static_cast<int>((tick >> 8) & 0xff);
+  } else if ((tick >> 24) == (current_tick_ >> 24)) {
+    bucket = 512 + static_cast<int>((tick >> 16) & 0xff);
+  }
+  if (bucket < 0) {
+    overflow_.push_back(Item{t, seq_of(slot), slot});
+    std::push_heap(overflow_.begin(), overflow_.end(), FiresLater<Item>);
+    word_of(slot) = kInOverflow;
+    return;
+  }
+  std::vector<std::uint32_t>& b = buckets_[bucket];
+  word_of(slot) =
+      PackLoc(kInBucket, static_cast<std::uint16_t>(bucket), b.size());
+  b.push_back(slot);
+  ++bucket_entries_;
+  SetBit(bucket);
+}
+
+void EventQueue::Wheel::InsertDue(std::uint32_t slot) {
+  const Time st = time_of(slot);
+  const std::uint64_t ss = seq_of(slot);
+  // Binary insert by (time, seq), clamped to at or after the cursor so
+  // already-served positions are never disturbed.
+  std::size_t lo = due_cursor_;
+  std::size_t hi = due_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const Item& m = due_[mid];
+    if (m.time < st || (m.time == st && m.seq < ss)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  due_.insert(due_.begin() + lo, Item{st, ss, slot});
+  for (std::size_t i = lo; i < due_.size(); ++i) {
+    word_of(due_[i].slot) = PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
+  }
+}
+
+// Level-0 bucket `idx` holds exactly one tick; move it into due_ sorted by
+// exact (time, seq).
+void EventQueue::Wheel::ServeBucketAsDue(int idx) {
+  std::vector<std::uint32_t>& b = buckets_[idx];
+  // due_ is empty and cursor 0 whenever the wheel advances; gather the
+  // bucket's keys into dense records so the sort never leaves the run.
+  due_.clear();
+  due_.reserve(b.size());
+  for (const std::uint32_t slot : b) {
+    due_.push_back(Item{time_of(slot), seq_of(slot), slot});
+  }
+  bucket_entries_ -= b.size();
+  b.clear();
+  ClearBit(idx);
+  std::sort(due_.begin(), due_.end(), [](const Item& x, const Item& y) {
+    return x.time < y.time || (x.time == y.time && x.seq < y.seq);
+  });
+  due_cursor_ = 0;
+  for (std::size_t i = 0; i < due_.size(); ++i) {
+    word_of(due_[i].slot) = PackLoc(kInDue, 0, static_cast<std::uint32_t>(i));
+  }
+}
+
+// Re-place every entry of a level-1/2 bucket after the clock advanced to
+// its base tick; entries land one level down (or in due_ for the base tick
+// itself).
+void EventQueue::Wheel::CascadeBucket(int idx) {
+  std::vector<std::uint32_t>& b = buckets_[idx];
+  scratch_.clear();
+  scratch_.swap(b);
+  bucket_entries_ -= scratch_.size();
+  ClearBit(idx);
+  for (const std::uint32_t slot : scratch_) Place(slot);
+}
+
+std::uint32_t EventQueue::Wheel::MinOfBucket(
+    const std::vector<std::uint32_t>& b) const {
+  std::uint32_t best = kNoSlot;
+  for (const std::uint32_t slot : b) {
+    if (best == kNoSlot) {
+      best = slot;
+      continue;
+    }
+    const Time ts = time_of(slot);
+    const Time tb = time_of(best);
+    if (ts < tb || (ts == tb && seq_of(slot) < seq_of(best))) best = slot;
+  }
+  return best;
+}
+
+void EventQueue::Wheel::SetBit(int bucket) {
+  occ_[static_cast<std::size_t>(bucket) >> 6] |= std::uint64_t{1}
+                                                 << (bucket & 63);
+}
+
+void EventQueue::Wheel::ClearBit(int bucket) {
+  occ_[static_cast<std::size_t>(bucket) >> 6] &=
+      ~(std::uint64_t{1} << (bucket & 63));
+}
+
+// First occupied bucket of `level`, as an intra-level index, or -1.
+int EventQueue::Wheel::FindFirst(int level) const {
+  for (int w = 0; w < 4; ++w) {
+    const std::uint64_t word = occ_[level * 4 + w];
+    if (word != 0) return w * 64 + std::countr_zero(word);
+  }
+  return -1;
+}
+
+void EventQueue::Wheel::PopOverflowTop() {
+  std::pop_heap(overflow_.begin(), overflow_.end(), FiresLater<Item>);
+  overflow_.pop_back();
+}
+
+void EventQueue::Wheel::DropOverflowGarbage() {
+  while (!overflow_.empty() &&
+         !q_.OccurrenceLive(overflow_.front().slot, overflow_.front().seq)) {
+    PopOverflowTop();
+    --ov_garbage_;
+  }
+}
+
+void EventQueue::Wheel::CompactOverflow() {
+  std::erase_if(overflow_, [this](const Item& it) {
+    return !q_.OccurrenceLive(it.slot, it.seq);
+  });
+  std::make_heap(overflow_.begin(), overflow_.end(), FiresLater<Item>);
+  ov_garbage_ = 0;
+}
+
+// ---------------------------------------------------------------------------
+// Queue: slab records, ids, lifecycle
+// ---------------------------------------------------------------------------
 
 void EventQueue::CheckTime(Time t) {
   P2P_CHECK_MSG(std::isfinite(t), "non-finite event time " << t);
@@ -559,7 +399,7 @@ void EventQueue::CheckTime(Time t) {
 std::uint32_t EventQueue::AllocSlot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = static_cast<std::uint32_t>(keys_[slot].backend_word);
+    free_head_ = static_cast<std::uint32_t>(keys_[slot].wheel_word);
     return slot;
   }
   P2P_CHECK_MSG(slab_.size() < kNoSlot, "event slab exhausted");
@@ -578,7 +418,7 @@ void EventQueue::FreeSlot(std::uint32_t slot) {
   Key& k = keys_[slot];
   k.state = static_cast<std::uint8_t>(State::kFree);  // clears both flags
   ++k.gen;  // invalidates every outstanding id for this slot
-  k.backend_word = free_head_;  // freelist link while free
+  k.wheel_word = free_head_;  // freelist link while free
   free_head_ = slot;
   // Attempt a trim only after at least slab/4 frees since the last check,
   // keeping the O(slab) freelist rebuild amortised O(1) per free.
@@ -609,13 +449,13 @@ void EventQueue::MaybeTrimSlab() {
   }
   if (!trimmed) return;
   // The freelist chain threads through the popped records; rebuild it from
-  // the survivors. Backends may still hold lazy (slot, seq) entries for
-  // trimmed indices — OccurrenceLive bound-checks against slab_.size(), so
+  // the survivors. The overflow heap may still hold lazy (slot, seq)
+  // entries for trimmed indices — OccurrenceLive bound-checks against slab_.size(), so
   // they read as garbage and compact away.
   free_head_ = kNoSlot;
   for (std::size_t i = slab_.size(); i-- > 0;) {
     if (state(static_cast<std::uint32_t>(i)) == State::kFree) {
-      keys_[i].backend_word = free_head_;
+      keys_[i].wheel_word = free_head_;
       free_head_ = static_cast<std::uint32_t>(i);
     }
   }
@@ -630,14 +470,6 @@ std::uint32_t EventQueue::SlotOf(EventId id) const {
   return slot;
 }
 
-void EventQueue::BackendAdd(std::uint32_t slot) {
-  if (kind_ == SchedulerKind::kTimingWheel) {
-    static_cast<WheelBackend*>(backend_.get())->Add(slot);
-  } else {
-    backend_->Add(slot);
-  }
-}
-
 EventId EventQueue::Schedule(Time t, Callback cb, std::uint64_t tag) {
   P2P_CHECK_MSG(static_cast<bool>(cb), "scheduling a null callback");
   CheckTime(t);
@@ -648,7 +480,7 @@ EventId EventQueue::Schedule(Time t, Callback cb, std::uint64_t tag) {
   keys_[slot].time = t;
   keys_[slot].seq = next_seq_++;
   keys_[slot].state = static_cast<std::uint8_t>(State::kScheduled);
-  BackendAdd(slot);
+  wheel_.Add(slot);
   ++live_count_;
   return IdOf(slot);
 }
@@ -666,7 +498,7 @@ EventId EventQueue::SchedulePeriodic(Time first, Time period, Callback cb) {
   keys_[slot].seq = next_seq_++;
   keys_[slot].state =
       static_cast<std::uint8_t>(State::kScheduled) | kPeriodicBit;
-  BackendAdd(slot);
+  wheel_.Add(slot);
   ++live_count_;
   return IdOf(slot);
 }
@@ -676,10 +508,10 @@ bool EventQueue::Cancel(EventId id) {
   if (slot == kNoSlot) return false;
   switch (state(slot)) {
     case State::kScheduled:
-      // Kill the occurrence before telling the backend, so lazy backends
-      // see it as garbage if they compact inside Remove.
+      // Kill the occurrence before telling the wheel, so the overflow heap
+      // sees it as garbage if it compacts inside Remove.
       set_state(slot, State::kStopped);
-      backend_->Remove(slot);
+      wheel_.Remove(slot);
       --live_count_;
       FreeSlot(slot);
       return true;
@@ -706,12 +538,12 @@ bool EventQueue::Rearm(EventId id, Time t) {
   CheckTime(t);
   switch (state(slot)) {
     case State::kScheduled:
-      // Fresh seq first: the backend's old entry must already read as dead
-      // when Remove runs, in case a lazy backend compacts.
+      // Fresh seq first: the wheel's old entry must already read as dead
+      // when Remove runs, in case the overflow heap compacts.
       keys_[slot].seq = next_seq_++;
       keys_[slot].time = t;
-      backend_->Remove(slot);
-      BackendAdd(slot);
+      wheel_.Remove(slot);
+      wheel_.Add(slot);
       return true;
     case State::kFiring:
       // A firing one-shot reads as already fired (see Cancel above).
@@ -730,12 +562,12 @@ bool EventQueue::Rearm(EventId id, Time t) {
 
 Time EventQueue::PeekTime() const {
   P2P_CHECK(!empty());
-  return keys_[backend_->PeekMin()].time;
+  return keys_[wheel_.PeekMin()].time;
 }
 
 EventQueue::Fired EventQueue::Pop() {
   P2P_CHECK(!empty());
-  const std::uint32_t slot = backend_->PopMin();
+  const std::uint32_t slot = wheel_.PopMin();
   Slot& s = slab_[slot];
   Fired fired;
   fired.time = keys_[slot].time;
@@ -774,7 +606,7 @@ bool EventQueue::FinishPeriodic(EventId id) {
   // Clears rearmed, keeps periodic.
   k.state = static_cast<std::uint8_t>(State::kScheduled) | kPeriodicBit;
   k.seq = next_seq_++;
-  BackendAdd(slot);
+  wheel_.Add(slot);
   return true;
 }
 
@@ -805,7 +637,7 @@ void EventQueue::EmitSlot(std::uint32_t slot, void* ctx, SinkFn sink) {
 
 void EventQueue::PopAllUpTo(Time t_end, void* ctx, SinkFn sink) {
   CheckTime(t_end);
-  backend_->PopAllUpTo(t_end, ctx, sink);
+  wheel_.PopAllUpTo(t_end, ctx, sink);
 }
 
 bool EventQueue::OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const {
@@ -814,7 +646,7 @@ bool EventQueue::OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const {
 }
 
 std::size_t EventQueue::heap_footprint() const {
-  return backend_->footprint();
+  return wheel_.footprint();
 }
 
 }  // namespace p2p::sim

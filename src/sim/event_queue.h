@@ -1,40 +1,34 @@
 // Discrete-event scheduler: the kernel hot path of every simulation.
 //
 // Events are (time, seq)-ordered; ties on time break by insertion order
-// (seq), which makes simulations deterministic. The public surface is a
-// facade over two interchangeable ordering backends:
+// (seq), which makes simulations deterministic. The ordering structure is a
+// hierarchical timing wheel (Varghese & Lauck): three levels of 256
+// power-of-two-millisecond buckets (1 ms / 256 ms / 65,536 ms per slot,
+// ~4.7 h horizon), entries cascading down as the clock approaches, with a
+// far-future overflow min-heap beyond the horizon. Schedule/cancel/pop are
+// amortized O(1) for the timer-heavy workloads the protocol stack
+// generates.
 //
-//   * kTimingWheel (default) — a hierarchical timing wheel (Varghese &
-//     Lauck): three levels of 256 power-of-two-millisecond buckets
-//     (1 ms / 256 ms / 65,536 ms per slot, ~4.7 h horizon), entries
-//     cascading down as the clock approaches, with a far-future overflow
-//     min-heap beyond the horizon. Schedule/cancel/pop are amortized O(1)
-//     for the timer-heavy workloads the protocol stack generates.
-//   * kBinaryHeap — the retained reference implementation (std::push_heap
-//     over a flat vector, lazy cancellation with compaction). Kept so
-//     differential tests can prove the wheel pops the exact same order,
-//     and so benches can price the swap.
-//
-// Both backends order the same slab of event records, so the observable
-// behaviour — pop order, ids, callbacks — is identical by construction of
-// everything except the ordering data structure itself
-// (tests/sim_kernel_test.cc enforces it with randomized differential runs).
+// tests/sim_kernel_test.cc drives the wheel against a plain (time, seq)
+// binary heap kept in tests/reference/ref_event_queue.{h,cc} — randomized
+// differential runs over schedule/cancel/rearm/periodic/batched drains —
+// so the pop order is pinned to the textbook structure it replaced.
 //
 // Event records live in a slab (stable storage, freelist-recycled) and
 // callbacks are util::InlineFn, so steady-state scheduling performs no
 // allocation for closures up to 48 bytes. Periodic timers are first-class:
 // SchedulePeriodic keeps one record alive across firings and Rearm/
 // FinishPeriodic move its deadline in place, replacing the historical
-// cancel-and-reschedule churn that heap compaction existed to fight.
+// cancel-and-reschedule churn.
 //
-// Ordering contract (both backends): callers never schedule earlier than
-// the time of the last popped event. The owning Simulation enforces
-// t >= now; the raw queue CHECKs only t >= 0 and finiteness.
+// Ordering contract: callers never schedule earlier than the time of the
+// last popped event. The owning Simulation enforces t >= now; the raw
+// queue CHECKs only t >= 0 and finiteness.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -50,22 +44,14 @@ using Time = double;
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-enum class SchedulerKind {
-  kTimingWheel,  // hierarchical timing wheel + overflow heap (default)
-  kBinaryHeap,   // retained reference: binary min-heap
-};
-
 class EventQueue {
  public:
   using Callback = util::InlineFn;
 
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kTimingWheel);
-  ~EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  SchedulerKind scheduler() const { return kind_; }
 
   // Schedule `cb` at absolute time `t` (must be finite, >= 0, and >= the
   // last popped event's time — the owning Simulation enforces the
@@ -96,10 +82,9 @@ class EventQueue {
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
 
-  // Entries currently held by the ordering backend, live or cancelled.
-  // Bounded by 2 * size() + 1 (wheel buckets cancel eagerly; only the
-  // lazy structures — the reference heap and the wheel's overflow heap —
-  // carry garbage, and both compact at the half-full mark).
+  // Entries currently held by the wheel, live or cancelled. Bounded by
+  // 2 * size() + 1 (buckets cancel eagerly; only the overflow heap carries
+  // garbage, and it compacts at the half-full mark).
   std::size_t heap_footprint() const;
 
   // Time of the earliest live event. Requires !empty().
@@ -127,9 +112,8 @@ class EventQueue {
   bool FinishPeriodic(EventId id);
 
   // Drain every event with time <= t_end into `sink`, in (time, seq)
-  // order, with ONE virtual backend call for the whole batch — the wheel
-  // backend walks its due-run cursor inline instead of paying a
-  // peek+pop virtual round trip per event. EVERY firing — one-shot or
+  // order — the wheel walks its due-run cursor inline instead of paying a
+  // peek+pop round trip per event. EVERY firing — one-shot or
   // periodic — arrives with `periodic` pointing at the stored callback
   // (invoke-in-place: no 64-byte closure move per event); the sink runs
   // it through the pointer and must NOT call FinishPeriodic. One-shot
@@ -148,10 +132,6 @@ class EventQueue {
     });
   }
 
-  // Liveness test used by the lazy backends: is occurrence `seq` of slab
-  // record `slot` still scheduled? (Backend plumbing, not client API.)
-  bool OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const;
-
   // Slab footprint introspection: current record capacity, the most
   // records ever live at once, and the live count. Long simulations with
   // bursty phases (mass joins, churn storms) can watch slab_capacity()
@@ -163,14 +143,14 @@ class EventQueue {
  private:
   enum class State : std::uint8_t {
     kFree,       // slab record on the freelist
-    kScheduled,  // owned by the ordering backend
+    kScheduled,  // placed in the wheel
     kFiring,     // periodic popped, callback running, awaiting FinishPeriodic
     kStopped,    // periodic cancelled while firing; freed by FinishPeriodic
   };
 
   // Hot-field split, round two. Everything the queue machinery reads
   // about a pending event — ordering keys, generation, lifecycle state,
-  // freelist link, and the backend's location word — packs into one
+  // freelist link, and the wheel's location word — packs into one
   // 32-byte Key record (keys_ below), two per cache line, so serving a
   // wheel tick or recycling a fired record touches ONE line of metadata
   // instead of gathering time/seq/state/location from four parallel
@@ -194,9 +174,9 @@ class EventQueue {
   struct alignas(32) Key {
     Time time = 0.0;
     std::uint64_t seq = 0;
-    // While scheduled: the ordering backend's private location word (the
-    // wheel packs bucket/position here). While free: the freelist link.
-    std::uint64_t backend_word = 0;
+    // While scheduled: the wheel's location word (kind, bucket, position;
+    // see event_queue.cc). While free: the freelist link.
+    std::uint64_t wheel_word = 0;
     std::uint32_t gen = 0;
     // State enum in the low bits, the periodic and rearmed-while-firing
     // flags in the top two (see kPeriodicBit, kRearmedBit).
@@ -204,10 +184,6 @@ class EventQueue {
   };
   static_assert(sizeof(Key) == 32,
                 "two key records per cache line, never straddling");
-
-  class Backend;
-  class WheelBackend;
-  class HeapBackend;
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Slabs below this size are never trimmed — reclaiming a few KB is not
@@ -253,16 +229,75 @@ class EventQueue {
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
-  // backend_->Add devirtualised for the default wheel: Schedule pays this
-  // once per event, and the static cast lets Place() inline into the
-  // scheduling hot path.
-  void BackendAdd(std::uint32_t slot);
   void MaybeTrimSlab();
   // Fire one already-popped slot through a PopAllUpTo sink.
   void EmitSlot(std::uint32_t slot, void* ctx, SinkFn sink);
   static void CheckTime(Time t);
+  // Is occurrence `seq` of slab record `slot` still scheduled? Names one
+  // firing of one event, so a stale overflow-heap entry can never
+  // resurrect a cancelled or re-armed record.
+  bool OccurrenceLive(std::uint32_t slot, std::uint64_t seq) const;
 
-  SchedulerKind kind_;
+  // The ordering structure (definitions and the full design note in
+  // event_queue.cc). It orders slab records only: the records themselves
+  // (keys, callbacks, state) belong to the queue, and the wheel reads
+  // their keys and fires them through the back-reference.
+  class Wheel {
+   public:
+    explicit Wheel(EventQueue& q);
+    // `slot` is kScheduled with its final (time, seq) when Add is called.
+    void Add(std::uint32_t slot);
+    // Called once the occurrence placed in the wheel is already dead (seq
+    // bumped or state changed), so the overflow heap may compact.
+    void Remove(std::uint32_t slot);
+    std::uint32_t PeekMin();
+    std::uint32_t PopMin();
+    std::size_t footprint() const;
+    void PopAllUpTo(Time t_end, void* ctx, SinkFn sink);
+
+   private:
+    // Ordering keys plus slot: the overflow heap's entry and the due
+    // run's, so the per-tick sort reads contiguous 24-byte records instead
+    // of gathering keys at random slab indices per comparison.
+    struct Item {
+      Time time;
+      std::uint64_t seq;
+      std::uint32_t slot;
+    };
+    Time time_of(std::uint32_t slot) const { return q_.keys_[slot].time; }
+    std::uint64_t seq_of(std::uint32_t slot) const {
+      return q_.keys_[slot].seq;
+    }
+    std::uint64_t& word_of(std::uint32_t slot) {
+      return q_.keys_[slot].wheel_word;
+    }
+    void Place(std::uint32_t slot);
+    void InsertDue(std::uint32_t slot);
+    void ServeBucketAsDue(int idx);
+    void CascadeBucket(int idx);
+    std::uint32_t MinOfBucket(const std::vector<std::uint32_t>& b) const;
+    void SetBit(int bucket);
+    void ClearBit(int bucket);
+    int FindFirst(int level) const;
+    void PopOverflowTop();
+    void DropOverflowGarbage();
+    void CompactOverflow();
+
+    EventQueue& q_;
+    std::uint64_t current_tick_ = 0;
+    std::array<std::vector<std::uint32_t>, 768> buckets_;
+    std::array<std::uint64_t, 12> occ_{};  // occupancy bitmap, 256 per level
+    std::size_t bucket_entries_ = 0;
+    std::vector<Item> due_;  // current tick, sorted by (time, seq)
+    std::size_t due_cursor_ = 0;
+    std::vector<Item> overflow_;  // beyond-horizon min-heap (lazy cancel)
+    std::size_t ov_garbage_ = 0;
+    std::vector<std::uint32_t> scratch_;
+    // Cached result of PeekMin, invalidated by pops and by removal of the
+    // cached slot; keeps a peek-then-pop loop O(1) per event.
+    std::uint32_t cache_ = kNoSlot;
+    Time cache_time_ = 0.0;
+  };
   // std::deque: callbacks are invoked through pointers into the slab while
   // the callback itself schedules new events (growing the slab), so
   // records must never move.
@@ -271,7 +306,8 @@ class EventQueue {
   // slab_; accessed by index only, so vector reallocation on growth is
   // safe.
   std::vector<Key> keys_;
-  mutable std::unique_ptr<Backend> backend_;
+  // PeekTime is const but fills the wheel's peek cache.
+  mutable Wheel wheel_{*this};
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;

@@ -72,10 +72,12 @@ std::size_t Simulation::RunUntil(Time t_end) {
   if (t_end > now_) now_ = t_end;
   // Deterministic slab telemetry: event populations are seed-driven, so
   // these gauges are comparable across same-seed runs.
-  metrics_.gauge("kernel.slab_hwm")
-      .Set(static_cast<double>(queue_.slab_high_water()));
-  metrics_.gauge("kernel.slab_slots")
-      .Set(static_cast<double>(queue_.slab_capacity()));
+  if (slab_hwm_ == nullptr) {
+    slab_hwm_ = &metrics_.gauge("kernel.slab_hwm");
+    slab_slots_ = &metrics_.gauge("kernel.slab_slots");
+  }
+  slab_hwm_->Set(static_cast<double>(queue_.slab_high_water()));
+  slab_slots_->Set(static_cast<double>(queue_.slab_capacity()));
   return n;
 }
 

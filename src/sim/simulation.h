@@ -17,9 +17,7 @@ namespace p2p::sim {
 
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1,
-                      SchedulerKind sched = SchedulerKind::kTimingWheel)
-      : queue_(sched), rng_(seed) {
+  explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {
     run_profile_ = &metrics_.profile("event_loop.run_ms");
   }
 
@@ -88,6 +86,10 @@ class Simulation {
   obs::MetricsRegistry metrics_;
   // Wall-clock cost of each RunUntil/Run batch (profile section).
   obs::Histogram* run_profile_ = nullptr;
+  // kernel.slab_hwm / kernel.slab_slots, registered by the first RunUntil
+  // (a simulation that never runs a batch reports no slab gauges).
+  obs::Gauge* slab_hwm_ = nullptr;
+  obs::Gauge* slab_slots_ = nullptr;
   Transport transport_{*this};
 };
 

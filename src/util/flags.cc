@@ -101,6 +101,14 @@ std::vector<std::string> FlagParser::UnknownFlags() const {
   return unknown;
 }
 
+void FlagParser::RejectUnknown() const {
+  const std::vector<std::string> unknown = UnknownFlags();
+  if (unknown.empty()) return;
+  std::string msg = unknown.size() == 1 ? "unknown flag" : "unknown flags";
+  for (const std::string& name : unknown) msg += " --" + name;
+  throw CheckError(msg);
+}
+
 std::string FlagParser::Help() const {
   std::ostringstream os;
   os << "flags:\n";

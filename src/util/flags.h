@@ -35,6 +35,9 @@ class FlagParser {
 
   // Flags supplied on the command line but never registered by a getter.
   std::vector<std::string> UnknownFlags() const;
+  // Throws CheckError naming every unknown flag. Call after the last
+  // getter and before any work, so a typo (or --help) fails fast.
+  void RejectUnknown() const;
 
   // Usage text assembled from the registrations (name, default, help).
   std::string Help() const;

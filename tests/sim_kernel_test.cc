@@ -1,8 +1,9 @@
-// Kernel-scale scheduler tests: the timing-wheel backend against the
-// retained binary-heap reference (randomized differential + cascade
-// boundaries), the InlineFn small-buffer callable, first-class periodic
-// timers, and end-to-end A/B determinism of full protocol runs across the
-// two scheduler backends.
+// Kernel-scale scheduler tests: the timing wheel against the binary-heap
+// reference in tests/reference/ref_event_queue.{h,cc} (randomized
+// differential, step-vs-batched drains), cascade boundaries, the InlineFn
+// small-buffer callable, first-class periodic timers, and digest pins of
+// full Simulation runs (event log, metrics snapshot, trace bytes) recorded
+// while the heap was still a selectable backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,12 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dht/heartbeat.h"
 #include "dht/ring.h"
+#include "reference/ref_event_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
@@ -24,6 +27,7 @@
 #include "util/check.h"
 #include "util/inline_fn.h"
 #include "util/rng.h"
+#include "test_support.h"
 
 namespace p2p::sim {
 namespace {
@@ -87,22 +91,19 @@ TEST(InlineFn, MoveAssignDestroysPreviousTarget) {
 // ------------------------------------------- Schedule argument hardening --
 
 TEST(EventQueueKernel, RejectsNonFiniteTimes) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double inf = std::numeric_limits<double>::infinity();
-    EXPECT_THROW(q.Schedule(nan, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(inf, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(-inf, [] {}), util::CheckError);
-    EXPECT_THROW(q.Schedule(-1.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(nan, 10.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, 0.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, -5.0, [] {}), util::CheckError);
-    EXPECT_THROW(q.SchedulePeriodic(0.0, inf, [] {}), util::CheckError);
-    EXPECT_TRUE(q.empty()) << "rejected schedules must not leak events";
-    EXPECT_EQ(q.heap_footprint(), 0u);
-  }
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(q.Schedule(nan, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(inf, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(-inf, [] {}), util::CheckError);
+  EXPECT_THROW(q.Schedule(-1.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(nan, 10.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, 0.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, -5.0, [] {}), util::CheckError);
+  EXPECT_THROW(q.SchedulePeriodic(0.0, inf, [] {}), util::CheckError);
+  EXPECT_TRUE(q.empty()) << "rejected schedules must not leak events";
+  EXPECT_EQ(q.heap_footprint(), 0u);
 }
 
 TEST(EventQueueKernel, RearmRejectsNonFiniteTimes) {
@@ -122,98 +123,86 @@ TEST(EventQueueKernel, RearmRejectsNonFiniteTimes) {
 // horizon, then the overflow heap) must still pop in exact (time, seq)
 // order.
 TEST(EventQueueKernel, CascadeBoundaryTimesPopInOrder) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    const std::vector<double> times = {
-        0.0,        0.25,        255.0,       255.999,     256.0,
-        256.001,    511.5,       512.0,       65535.5,     65536.0,
-        65536.25,   131071.9,    131072.0,    16777215.9,  16777216.0,
-        16777217.5, 33554432.0,  1.0e8,       4.2e9,       1.0e12,
-        5.0e15,     1.0e16,      1.0e16,      9.0e17};
-    // Schedule in a scrambled order so placement exercises every level.
-    std::vector<std::size_t> order(times.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    util::Rng rng(7);
-    rng.Shuffle(order);
-    std::vector<double> popped;
-    for (const std::size_t i : order) {
-      q.Schedule(times[i], [] {});
-    }
-    while (!q.empty()) {
-      EXPECT_DOUBLE_EQ(q.PeekTime(), q.PeekTime());
-      auto fired = q.Pop();
-      popped.push_back(fired.time);
-    }
-    std::vector<double> expected = times;
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(popped.size(), expected.size()) << "kind=" << static_cast<int>(kind);
-    for (std::size_t i = 0; i < popped.size(); ++i)
-      EXPECT_DOUBLE_EQ(popped[i], expected[i]) << "i=" << i;
+  EventQueue q;
+  const std::vector<double> times = {
+      0.0,        0.25,        255.0,       255.999,     256.0,
+      256.001,    511.5,       512.0,       65535.5,     65536.0,
+      65536.25,   131071.9,    131072.0,    16777215.9,  16777216.0,
+      16777217.5, 33554432.0,  1.0e8,       4.2e9,       1.0e12,
+      5.0e15,     1.0e16,      1.0e16,      9.0e17};
+  // Schedule in a scrambled order so placement exercises every level.
+  std::vector<std::size_t> order(times.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng rng(7);
+  rng.Shuffle(order);
+  std::vector<double> popped;
+  for (const std::size_t i : order) {
+    q.Schedule(times[i], [] {});
   }
+  while (!q.empty()) {
+    EXPECT_DOUBLE_EQ(q.PeekTime(), q.PeekTime());
+    auto fired = q.Pop();
+    popped.push_back(fired.time);
+  }
+  std::vector<double> expected = times;
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(popped.size(), expected.size());
+  for (std::size_t i = 0; i < popped.size(); ++i)
+    EXPECT_DOUBLE_EQ(popped[i], expected[i]) << "i=" << i;
 }
 
 TEST(EventQueueKernel, SameTickBurstKeepsFifoOrder) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    std::vector<int> log;
-    // 100 events at the same sub-millisecond time: FIFO by seq.
-    for (int i = 0; i < 100; ++i) {
-      q.Schedule(1000.5, [&log, i] { log.push_back(i); });
-    }
-    while (!q.empty()) q.Pop().cb();
-    ASSERT_EQ(log.size(), 100u);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(log[i], i);
+  EventQueue q;
+  std::vector<int> log;
+  // 100 events at the same sub-millisecond time: FIFO by seq.
+  for (int i = 0; i < 100; ++i) {
+    q.Schedule(1000.5, [&log, i] { log.push_back(i); });
   }
+  while (!q.empty()) q.Pop().cb();
+  ASSERT_EQ(log.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(log[i], i);
 }
 
 // Events scheduled at the tick currently being served must pop before
 // later entries of the same tick — the due-list insert path.
 TEST(EventQueueKernel, ArrivalsDuringServedTickSlotInByTime) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    q.Schedule(100.2, [] {});
-    q.Schedule(100.8, [] {});
-    auto first = q.Pop();
-    EXPECT_DOUBLE_EQ(first.time, 100.2);
-    // Same tick (100), between the two pending times.
-    q.Schedule(100.5, [] {});
-    // Same tick, same time as a pending event: FIFO puts it after.
-    q.Schedule(100.8, [] {});
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.5);
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
-    EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
-    EXPECT_TRUE(q.empty());
-  }
+  EventQueue q;
+  q.Schedule(100.2, [] {});
+  q.Schedule(100.8, [] {});
+  auto first = q.Pop();
+  EXPECT_DOUBLE_EQ(first.time, 100.2);
+  // Same tick (100), between the two pending times.
+  q.Schedule(100.5, [] {});
+  // Same tick, same time as a pending event: FIFO puts it after.
+  q.Schedule(100.8, [] {});
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.5);
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
+  EXPECT_DOUBLE_EQ(q.Pop().time, 100.8);
+  EXPECT_TRUE(q.empty());
 }
 
 // ------------------------------------------------------ periodic timers --
 
 TEST(EventQueueKernel, PeriodicFiresAndRearmsInPlace) {
-  for (const SchedulerKind kind :
-       {SchedulerKind::kTimingWheel, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    int fires = 0;
-    const EventId id = q.SchedulePeriodic(10.0, 25.0, [&fires] { ++fires; });
-    std::vector<double> fire_times;
-    for (int i = 0; i < 4; ++i) {
-      auto fired = q.Pop();
-      ASSERT_TRUE(fired.is_periodic());
-      EXPECT_EQ(fired.id, id);
-      fire_times.push_back(fired.time);
-      (*fired.periodic)();
-      EXPECT_TRUE(q.FinishPeriodic(fired.id));
-    }
-    EXPECT_EQ(fires, 4);
-    EXPECT_EQ(q.size(), 1u) << "one record for the timer's whole lifetime";
-    const std::vector<double> want = {10.0, 35.0, 60.0, 85.0};
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_DOUBLE_EQ(fire_times[i], want[i]);
-    EXPECT_TRUE(q.Cancel(id));
-    EXPECT_TRUE(q.empty());
+  EventQueue q;
+  int fires = 0;
+  const EventId id = q.SchedulePeriodic(10.0, 25.0, [&fires] { ++fires; });
+  std::vector<double> fire_times;
+  for (int i = 0; i < 4; ++i) {
+    auto fired = q.Pop();
+    ASSERT_TRUE(fired.is_periodic());
+    EXPECT_EQ(fired.id, id);
+    fire_times.push_back(fired.time);
+    (*fired.periodic)();
+    EXPECT_TRUE(q.FinishPeriodic(fired.id));
   }
+  EXPECT_EQ(fires, 4);
+  EXPECT_EQ(q.size(), 1u) << "one record for the timer's whole lifetime";
+  const std::vector<double> want = {10.0, 35.0, 60.0, 85.0};
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_DOUBLE_EQ(fire_times[i], want[i]);
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueKernel, RearmMovesDeadlineWithoutCancel) {
@@ -285,16 +274,19 @@ TEST(EventQueueKernel, StaleIdsNeverCancelTheSlotsNextTenant) {
 // -------------------------------------------- randomized differential --
 
 // The wheel and the reference heap must agree on every observable: pop
-// order, event ids, Cancel/Rearm return values, sizes. Drives both through
-// an identical randomized schedule/cancel/rearm/pop workload, including
-// same-tick bursts, far-future times beyond the wheel horizon, periodic
-// timers, and pops interleaved with mutation.
+// order, tags, Cancel/Rearm return values, sizes, and — through a
+// pairwise id map, since the two number their events differently — which
+// event each pop names. Drives both through an identical randomized
+// schedule/cancel/rearm/pop workload, including same-tick bursts,
+// far-future times beyond the wheel horizon, periodic timers, and pops
+// interleaved with mutation.
 TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
-  EventQueue wheel(SchedulerKind::kTimingWheel);
-  EventQueue heap(SchedulerKind::kBinaryHeap);
+  EventQueue wheel;
+  simref::EventQueue heap;
+  std::unordered_map<EventId, EventId> heap_id;  // wheel id -> heap id
   util::Rng rng(0xC0FFEE);
   double now = 0.0;
-  std::vector<EventId> live;       // same for both queues by construction
+  std::vector<EventId> live;       // wheel ids
   std::vector<EventId> periodics;  // subset of live needing FinishPeriodic
 
   const auto random_delay = [&]() -> double {
@@ -311,21 +303,37 @@ TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
         return 1.0e16 + rng.Uniform(0.0, 1.0);  // beyond-horizon sentinel
     }
   };
+  const auto pop_both = [&] {
+    ASSERT_FALSE(heap.empty());
+    auto wf = wheel.Pop();
+    auto hf = heap.Pop();
+    ASSERT_DOUBLE_EQ(wf.time, hf.time);
+    ASSERT_EQ(heap_id.at(wf.id), hf.id);
+    ASSERT_EQ(wf.tag, hf.tag);
+    ASSERT_EQ(wf.is_periodic(), hf.is_periodic());
+    ASSERT_GE(wf.time, now);
+    now = wf.time;
+    if (wf.is_periodic()) {
+      ASSERT_EQ(wheel.FinishPeriodic(wf.id), heap.FinishPeriodic(hf.id));
+    } else {
+      std::erase(live, wf.id);
+    }
+  };
 
   for (int step = 0; step < 20000; ++step) {
     const int op = static_cast<int>(rng.UniformInt(0, 9));
-    if (op <= 3) {  // schedule one-shot
+    if (op <= 3) {  // schedule one-shot, tagged with its step
       const double t = now + random_delay();
-      const EventId wid = wheel.Schedule(t, [] {});
-      const EventId hid = heap.Schedule(t, [] {});
-      ASSERT_EQ(wid, hid);
+      const auto tag = static_cast<std::uint64_t>(step) + 1;
+      const EventId wid = wheel.Schedule(t, [] {}, tag);
+      ASSERT_TRUE(heap_id.emplace(wid, heap.Schedule(t, [] {}, tag)).second);
       live.push_back(wid);
     } else if (op == 4) {  // schedule periodic
       const double t = now + rng.Uniform(0.0, 5000.0);
       const double period = rng.Uniform(0.5, 10000.0);
       const EventId wid = wheel.SchedulePeriodic(t, period, [] {});
-      const EventId hid = heap.SchedulePeriodic(t, period, [] {});
-      ASSERT_EQ(wid, hid);
+      ASSERT_TRUE(
+          heap_id.emplace(wid, heap.SchedulePeriodic(t, period, [] {})).second);
       live.push_back(wid);
       periodics.push_back(wid);
     } else if (op == 5 && !live.empty()) {  // cancel (possibly stale id)
@@ -333,7 +341,7 @@ TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
           static_cast<std::size_t>(rng.UniformInt(0, live.size() - 1));
       const EventId id = live[k];
       const bool wc = wheel.Cancel(id);
-      const bool hc = heap.Cancel(id);
+      const bool hc = heap.Cancel(heap_id.at(id));
       ASSERT_EQ(wc, hc);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
       std::erase(periodics, id);
@@ -341,24 +349,14 @@ TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
       const std::size_t k =
           static_cast<std::size_t>(rng.UniformInt(0, live.size() - 1));
       const double t = now + random_delay();
-      ASSERT_EQ(wheel.Rearm(live[k], t), heap.Rearm(live[k], t));
+      ASSERT_EQ(wheel.Rearm(live[k], t), heap.Rearm(heap_id.at(live[k]), t));
     } else {  // pop a few events
       const int pops = static_cast<int>(rng.UniformInt(1, 4));
       for (int p = 0; p < pops && !wheel.empty(); ++p) {
         ASSERT_FALSE(heap.empty());
         ASSERT_DOUBLE_EQ(wheel.PeekTime(), heap.PeekTime());
-        auto wf = wheel.Pop();
-        auto hf = heap.Pop();
-        ASSERT_DOUBLE_EQ(wf.time, hf.time);
-        ASSERT_EQ(wf.id, hf.id);
-        ASSERT_EQ(wf.is_periodic(), hf.is_periodic());
-        ASSERT_GE(wf.time, now);
-        now = wf.time;
-        if (wf.is_periodic()) {
-          ASSERT_EQ(wheel.FinishPeriodic(wf.id), heap.FinishPeriodic(hf.id));
-        } else {
-          std::erase(live, wf.id);
-        }
+        pop_both();
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
     ASSERT_EQ(wheel.size(), heap.size());
@@ -366,22 +364,19 @@ TEST(EventQueueKernel, RandomizedDifferentialWheelVsHeap) {
 
   // Stop periodic timers so the drain below terminates.
   for (const EventId id : periodics) {
-    ASSERT_EQ(wheel.Cancel(id), heap.Cancel(id));
+    ASSERT_EQ(wheel.Cancel(id), heap.Cancel(heap_id.at(id)));
   }
   while (!wheel.empty()) {
-    ASSERT_FALSE(heap.empty());
-    auto wf = wheel.Pop();
-    auto hf = heap.Pop();
-    ASSERT_DOUBLE_EQ(wf.time, hf.time);
-    ASSERT_EQ(wf.id, hf.id);
+    pop_both();
+    if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_TRUE(heap.empty());
 }
 
-// Eager cancellation in wheel buckets must keep the footprint bound that
-// the reference heap achieves by compaction.
+// Eager cancellation in wheel buckets (and compaction of the overflow
+// heap) must keep the footprint within 2 * live + 1.
 TEST(EventQueueKernel, WheelFootprintStaysBoundedUnderChurn) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   util::Rng rng(99);
   std::vector<EventId> ids;
   for (int round = 0; round < 200; ++round) {
@@ -397,7 +392,15 @@ TEST(EventQueueKernel, WheelFootprintStaysBoundedUnderChurn) {
   }
 }
 
-// ------------------------------------------------- Simulation-level A/B --
+// ------------------------------------------------ Simulation-level pins --
+//
+// Full Simulation runs folded into one FNV-1a digest each (event log,
+// metrics snapshot, trace bytes). The digests were recorded at the commit
+// where Simulation could still run on either ordering structure and these
+// tests asserted the wheel and the binary heap byte-identical on every
+// stream (SchedulerAB = scheduler A/B); the heap now lives on only as
+// tests/reference/ref_event_queue, so a wheel change that moves any byte
+// of any stream fails here.
 
 struct SimRunLog {
   std::vector<double> events;  // interleaved (tag, virtual time) stream
@@ -410,9 +413,9 @@ struct SimRunLog {
 // with distinct phases, self-rescheduling one-shots, transport traffic
 // with loss + jitter fault injection (consuming RNG), and a mid-run
 // CancelPeriodic. Everything observable is logged.
-SimRunLog RunKernelWorkload(SchedulerKind kind) {
+SimRunLog RunKernelWorkload() {
   SimRunLog log;
-  Simulation sim(4242, kind);
+  Simulation sim(4242);
   sim.EnableMetrics();
   TraceSink trace;
   sim.transport().set_trace(&trace);
@@ -470,29 +473,34 @@ SimRunLog RunKernelWorkload(SchedulerKind kind) {
   return log;
 }
 
-TEST(SchedulerAB, KernelWorkloadIsByteIdenticalAcrossBackends) {
-  const SimRunLog wheel = RunKernelWorkload(SchedulerKind::kTimingWheel);
-  const SimRunLog heap = RunKernelWorkload(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(wheel.fired, heap.fired);
-  ASSERT_EQ(wheel.events.size(), heap.events.size());
-  for (std::size_t i = 0; i < wheel.events.size(); ++i)
-    ASSERT_DOUBLE_EQ(wheel.events[i], heap.events[i]) << "i=" << i;
-  EXPECT_EQ(wheel.metrics_json, heap.metrics_json);
-  EXPECT_EQ(wheel.trace_text, heap.trace_text);
+std::uint64_t Digest(const SimRunLog& log) {
+  p2p::testing::StreamDigest d;
+  d.Add(log.fired);
+  d.Add(log.events.size());
+  for (const double e : log.events) d.AddTime(e);
+  d.AddBytes(log.metrics_json);
+  d.AddBytes(log.trace_text);
+  return d.value();
 }
 
-// Full protocol stack A/B: DHT heartbeats + SOMO gather/disseminate over
-// the shared transport. Same seed, different scheduler backend — metric
-// snapshots and traces must match byte for byte.
+TEST(SchedulerAB, KernelWorkloadIsByteIdenticalAcrossBackends) {
+  const SimRunLog log = RunKernelWorkload();
+  EXPECT_GT(log.fired, 0u);
+  // Recorded at a31db31, wheel == heap.
+  EXPECT_EQ(Digest(log), 0xabcc847553bc9e26ull) << std::hex << Digest(log);
+}
+
+// Full protocol stack: DHT heartbeats + SOMO gather/disseminate over the
+// shared transport.
 struct StackRunLog {
   std::string metrics_json;
   std::string trace_text;
   std::size_t fired = 0;
 };
 
-StackRunLog RunProtocolStack(SchedulerKind kind) {
+StackRunLog RunProtocolStack() {
   StackRunLog log;
-  Simulation sim(321, kind);
+  Simulation sim(321);
   sim.EnableMetrics();
   TraceSink trace;
   sim.transport().set_trace(&trace);
@@ -534,12 +542,21 @@ StackRunLog RunProtocolStack(SchedulerKind kind) {
   return log;
 }
 
+std::uint64_t Digest(const StackRunLog& log) {
+  p2p::testing::StreamDigest d;
+  d.Add(log.fired);
+  d.AddBytes(log.metrics_json);
+  d.AddBytes(log.trace_text);
+  return d.value();
+}
+
 TEST(SchedulerAB, ProtocolStackIsByteIdenticalAcrossBackends) {
-  const StackRunLog wheel = RunProtocolStack(SchedulerKind::kTimingWheel);
-  const StackRunLog heap = RunProtocolStack(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(wheel.fired, heap.fired);
-  EXPECT_EQ(wheel.metrics_json, heap.metrics_json);
-  EXPECT_EQ(wheel.trace_text, heap.trace_text);
+  const StackRunLog log = RunProtocolStack();
+  EXPECT_NE(log.metrics_json.find("dht.heartbeat.delivered"),
+            std::string::npos);
+  EXPECT_NE(log.metrics_json.find("somo.messages"), std::string::npos);
+  // Recorded at a31db31, wheel == heap.
+  EXPECT_EQ(Digest(log), 0x9846c282af1c5487ull) << std::hex << Digest(log);
 }
 
 // ------------------------------------------------- PopAllUpTo batching --
@@ -549,8 +566,9 @@ using FireEntry = std::pair<Time, int>;
 // A one-shot whose callback logs and reschedules itself `depth` more
 // times, 0.25 ms apart — chains that must fire inside the same batched
 // drain that started them.
-void ScheduleChain(EventQueue& q, Time t, int depth,
-                   std::vector<FireEntry>* log, int tag) {
+template <typename Queue>
+void ScheduleChain(Queue& q, Time t, int depth, std::vector<FireEntry>* log,
+                   int tag) {
   q.Schedule(t, [&q, t, depth, log, tag] {
     log->push_back({t, tag});
     if (depth > 0) ScheduleChain(q, t + 0.25, depth - 1, log, tag + 1000);
@@ -559,10 +577,12 @@ void ScheduleChain(EventQueue& q, Time t, int depth,
 
 // Mixed workload driven either by the classic peek/pop/FinishPeriodic loop
 // or by PopAllUpTo, across several windows (including an empty one and a
-// boundary-exact event). Returns the (time, tag) firing log, which must be
-// identical across drivers and backends.
-std::vector<FireEntry> DriveBatchWorkload(SchedulerKind kind, bool batched) {
-  EventQueue q(kind);
+// boundary-exact event), on the wheel or the reference heap. Returns the
+// (time, tag) firing log, which must be identical across drivers and
+// queues.
+template <typename Queue>
+std::vector<FireEntry> DriveBatchWorkload(bool batched) {
+  Queue q;
   std::vector<FireEntry> log;
   util::Rng rng(2026);
   // Victims for mid-window cancel/rearm exercised below.
@@ -593,7 +613,7 @@ std::vector<FireEntry> DriveBatchWorkload(SchedulerKind kind, bool batched) {
   q.Schedule(1500.0, [&log] { log.push_back({1500.0, 777}); });  // boundary
   const auto drive = [&](Time t_end) {
     if (batched) {
-      q.PopAllUpTo(t_end, [&](EventQueue::Fired& f) {
+      q.PopAllUpTo(t_end, [&](typename Queue::Fired& f) {
         if (f.is_periodic()) {
           (*f.periodic)();
         } else {
@@ -618,11 +638,12 @@ std::vector<FireEntry> DriveBatchWorkload(SchedulerKind kind, bool batched) {
   return log;
 }
 
+// Both drivers on both queues: the wheel and the reference heap.
 TEST(EventQueueKernel, PopAllUpToMatchesStepLoopOnBothBackends) {
-  const auto step_wheel = DriveBatchWorkload(SchedulerKind::kTimingWheel, false);
-  const auto batch_wheel = DriveBatchWorkload(SchedulerKind::kTimingWheel, true);
-  const auto step_heap = DriveBatchWorkload(SchedulerKind::kBinaryHeap, false);
-  const auto batch_heap = DriveBatchWorkload(SchedulerKind::kBinaryHeap, true);
+  const auto step_wheel = DriveBatchWorkload<EventQueue>(false);
+  const auto batch_wheel = DriveBatchWorkload<EventQueue>(true);
+  const auto step_heap = DriveBatchWorkload<simref::EventQueue>(false);
+  const auto batch_heap = DriveBatchWorkload<simref::EventQueue>(true);
   EXPECT_FALSE(step_wheel.empty());
   EXPECT_EQ(step_wheel, batch_wheel);
   EXPECT_EQ(step_wheel, step_heap);
@@ -630,7 +651,7 @@ TEST(EventQueueKernel, PopAllUpToMatchesStepLoopOnBothBackends) {
 }
 
 TEST(EventQueueKernel, PopAllUpToReportsPeriodicsAndRearmsThem) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   int fired = 0;
   const EventId id = q.SchedulePeriodic(10.0, 100.0, [&fired] { ++fired; });
   q.PopAllUpTo(500.0, [&](EventQueue::Fired& f) {
@@ -649,7 +670,7 @@ TEST(EventQueueKernel, OneShotTagsRideTheRecordOnBothDrivers) {
   // recycled record does not leak its previous tenant's tag.
   constexpr std::uint64_t kTag = 0xfedcba9876543210ull;
   for (const bool batched : {false, true}) {
-    EventQueue q(SchedulerKind::kTimingWheel);
+    EventQueue q;
     q.Schedule(1.0, [] {}, kTag);
     q.Schedule(2.0, [] {});
     const EventId periodic = q.SchedulePeriodic(3.0, 100.0, [] {});
@@ -682,7 +703,7 @@ TEST(EventQueueKernel, OneShotTagsRideTheRecordOnBothDrivers) {
 // ------------------------------------------------------------ slab trim --
 
 TEST(EventQueueKernel, SlabTrimsAfterBurstDrains) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   constexpr std::size_t kBurst = 50000;
   for (std::size_t i = 0; i < kBurst; ++i) {
     q.Schedule(static_cast<Time>(i + 1), [] {});
@@ -720,7 +741,7 @@ TEST(EventQueueKernel, LongRunFootprintStaysBoundedAcrossBursts) {
 }
 
 TEST(EventQueueKernel, StaleIdAfterTrimCannotCancelRegrownSlot) {
-  EventQueue q(SchedulerKind::kTimingWheel);
+  EventQueue q;
   constexpr std::size_t kCount = 6000;
   std::vector<EventId> first;
   first.reserve(kCount);

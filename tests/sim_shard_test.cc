@@ -5,12 +5,13 @@
 //  * mailbox exchange in the canonical (time, src_shard, seq) order and the
 //    per-message lookahead CHECK,
 //  * the 1-shard differential against the serial kernel (event count,
-//    metrics snapshot, trace bytes — the SchedulerAB methodology),
+//    metrics snapshot, trace bytes),
 //  * same-seed multi-shard byte-identity, independent of the thread count,
-//  * the coalesced-vs-per-message exchange differential and its edge cases
-//    (empty outboxes, one active pair, everything in one window),
-//  * allocation-free steady-state cross-shard sends on both exchange paths
-//    (this binary counts operator new, see below),
+//  * a digest pin of a bound two-shard protocol run's schedule and the
+//    exchange's edge cases (empty outboxes, one active pair, everything in
+//    one window),
+//  * allocation-free steady-state cross-shard sends and serial RunUntil
+//    calls (this binary counts operator new, see below),
 //  * per-pair lookahead matrices: byte-identity against the fixed-window
 //    baseline with fewer barriers, per-message rejection of unsound
 //    entries, and ExtractLookahead's exactness/soundness against the
@@ -409,7 +410,6 @@ struct ShardedRunLog {
 // lookahead; empty = the uniform 10 ms path) whose entries stay below
 // the 50 ms heartbeat floor.
 ShardedRunLog RunTwoShards(std::uint64_t seed, std::size_t threads,
-                           bool coalesced = true,
                            std::vector<double> matrix = {}) {
   constexpr std::size_t kHosts = 24;
   ShardedRunLog log;
@@ -420,7 +420,6 @@ ShardedRunLog RunTwoShards(std::uint64_t seed, std::size_t threads,
   opts.lookahead_matrix = std::move(matrix);
   opts.seed = seed;
   opts.threads = threads;
-  opts.coalesced_exchange = coalesced;
   ShardedSimulation ssim(opts);
   std::vector<std::uint32_t> shard_of_host(kHosts);
   for (std::size_t h = 0; h < kHosts; ++h)
@@ -507,20 +506,26 @@ TEST(ShardDeterminism, DifferentSeedsDiverge) {
 
 // -------------------------------------------------------- ShardExchange --
 
+std::uint64_t Digest(const ShardedRunLog& log) {
+  p2p::testing::StreamDigest d;
+  d.Add(log.fired);
+  d.Add(log.windows);
+  d.Add(log.cross);
+  d.AddBytes(log.merged_json);
+  d.Add(log.shard_json.size());
+  for (const std::string& s : log.shard_json) d.AddBytes(s);
+  return d.value();
+}
+
 TEST(ShardExchange, PerMessagePathMatchesCoalescedByteForByte) {
-  // The retained concatenate+stable_sort drain and the coalesced SoA
-  // k-way-merge drain must produce identical schedules — every counter,
-  // every window, every delivery.
-  const ShardedRunLog coalesced =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/true);
-  const ShardedRunLog per_message =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/false);
-  EXPECT_GT(coalesced.cross, 0u);
-  EXPECT_EQ(coalesced.fired, per_message.fired);
-  EXPECT_EQ(coalesced.windows, per_message.windows);
-  EXPECT_EQ(coalesced.cross, per_message.cross);
-  EXPECT_EQ(coalesced.merged_json, per_message.merged_json);
-  EXPECT_EQ(coalesced.shard_json, per_message.shard_json);
+  // Every counter, every window and every delivery of the bound two-shard
+  // run, folded into one FNV-1a digest. It was recorded at a31db31, where
+  // this test still ran the coalesced SoA k-way-merge drain against a
+  // per-message concatenate+stable_sort drain and asserted the two
+  // byte-identical; the coalesced drain is now the only exchange.
+  const ShardedRunLog log = RunTwoShards(99, /*threads=*/2);
+  EXPECT_GT(log.cross, 0u);
+  EXPECT_EQ(Digest(log), 0x9c686cc0c161a275ull) << std::hex << Digest(log);
 }
 
 TEST(ShardExchange, LocalOnlyWindowsExchangeNothing) {
@@ -610,90 +615,118 @@ struct BurstRun {
 
 TEST(ShardAllocation, SteadyStateCrossShardSendsDoNotAllocate) {
   constexpr int kBurst = 64;
-  for (const bool coalesced : {true, false}) {
-    SCOPED_TRACE(coalesced ? "coalesced" : "per-message");
-    ShardedOptions opts;
-    opts.shards = 2;
-    opts.lookahead_ms = 10.0;
-    opts.threads = 2;
-    opts.coalesced_exchange = coalesced;
-    ShardedSimulation ssim(opts);
-    ssim.SetHostShards({0, 1});
-    std::atomic<bool> counting{false};
-    std::atomic<bool> boxed{false};
-    // on_time[s]: deliveries that landed on shard s exactly 25 ms after
-    // their send — touched only on shard s's thread.
-    std::array<std::size_t, 2> on_time{0, 0};
-    for (std::size_t s = 0; s < 2; ++s) {
-      Simulation& src = ssim.shard(s);
-      Simulation* dst = &ssim.shard(1 - s);
-      std::size_t* inbox = &on_time[1 - s];
-      src.EnableMetrics();
-      src.Every(100.0, 0.0, [&src, &counting, &boxed, s, dst, inbox] {
-        Message m;
-        m.src_host = s;
-        m.dst_host = 1 - s;
-        m.protocol = Protocol::kHeartbeat;
-        m.bytes = dht::kHeartbeatBytes;
-        Transport::SendOptions so;
-        so.delay_override_ms = 25.0;
-        const Time due = src.now() + 25.0;
-        t_count_allocs = counting.load();
-        for (std::uint32_t k = 0; k < kBurst; ++k) {
-          if (boxed.load()) {
-            const std::array<double, 5> pad{};
-            src.transport().Send(
-                m, [dst, inbox, due, pad] {
-                  if (dst->now() == due + pad[0]) ++*inbox;
-                },
-                so);
-          } else {
-            src.transport().Send(
-                m, [dst, inbox, due, k] {
-                  if (dst->now() == due && k < kBurst) ++*inbox;
-                },
-                so);
-          }
+  ShardedOptions opts;
+  opts.shards = 2;
+  opts.lookahead_ms = 10.0;
+  opts.threads = 2;
+  ShardedSimulation ssim(opts);
+  ssim.SetHostShards({0, 1});
+  std::atomic<bool> counting{false};
+  std::atomic<bool> boxed{false};
+  // on_time[s]: deliveries that landed on shard s exactly 25 ms after
+  // their send — touched only on shard s's thread.
+  std::array<std::size_t, 2> on_time{0, 0};
+  for (std::size_t s = 0; s < 2; ++s) {
+    Simulation& src = ssim.shard(s);
+    Simulation* dst = &ssim.shard(1 - s);
+    std::size_t* inbox = &on_time[1 - s];
+    src.EnableMetrics();
+    src.Every(100.0, 0.0, [&src, &counting, &boxed, s, dst, inbox] {
+      Message m;
+      m.src_host = s;
+      m.dst_host = 1 - s;
+      m.protocol = Protocol::kHeartbeat;
+      m.bytes = dht::kHeartbeatBytes;
+      Transport::SendOptions so;
+      so.delay_override_ms = 25.0;
+      const Time due = src.now() + 25.0;
+      t_count_allocs = counting.load();
+      for (std::uint32_t k = 0; k < kBurst; ++k) {
+        if (boxed.load()) {
+          const std::array<double, 5> pad{};
+          src.transport().Send(
+              m, [dst, inbox, due, pad] {
+                if (dst->now() == due + pad[0]) ++*inbox;
+              },
+              so);
+        } else {
+          src.transport().Send(
+              m, [dst, inbox, due, k] {
+                if (dst->now() == due && k < kBurst) ++*inbox;
+              },
+              so);
         }
-        t_count_allocs = false;
-      });
-    }
-    const auto run = [&](Time from, Time to) {
-      ssim.RunUntil(from);
-      const std::size_t cross_before = ssim.cross_shard_messages();
-      g_counted_allocs = 0;
-      counting = true;
-      ssim.RunUntil(to);
-      counting = false;
-      return BurstRun{g_counted_allocs.load(),
-                      ssim.cross_shard_messages() - cross_before};
-    };
-    // Warm-up: bursts at 0..1000 ms grow the outbox columns, the event slab
-    // and the wheel; then 20 steady-state bursts per shard.
-    const BurstRun steady = run(1050.0, 3050.0);
-    EXPECT_EQ(steady.sent, 20u * 2 * kBurst);
-    EXPECT_EQ(steady.allocs, 0u);
-    // The counter sees a closure that does not fit inline — one heap box
-    // per message, which is what wrapping each cross-shard closure costs.
-    boxed = true;
-    const BurstRun heap = run(3050.0, 5050.0);
-    EXPECT_EQ(heap.sent, 20u * 2 * kBurst);
-    EXPECT_GE(heap.allocs, heap.sent);
-
-    // Every message (51 bursts) arrived on time and was counted as
-    // delivered by the destination bus.
-    EXPECT_EQ(on_time[0] + on_time[1], 51u * 2 * kBurst);
-    const ProtocolStats hb =
-        ssim.MergedTransportStats().protocol(Protocol::kHeartbeat);
-    EXPECT_EQ(hb.sent, 51u * 2 * kBurst);
-    EXPECT_EQ(hb.delivered, hb.sent);
-    for (std::size_t s = 0; s < 2; ++s) {
-      EXPECT_EQ(ssim.shard(s).transport().stats().protocol(Protocol::kHeartbeat)
-                    .delivered,
-                51u * kBurst);
-      EXPECT_EQ(ssim.shard(s).transport().inflight_messages(), 0u);
-    }
+      }
+      t_count_allocs = false;
+    });
   }
+  const auto run = [&](Time from, Time to) {
+    ssim.RunUntil(from);
+    const std::size_t cross_before = ssim.cross_shard_messages();
+    g_counted_allocs = 0;
+    counting = true;
+    ssim.RunUntil(to);
+    counting = false;
+    return BurstRun{g_counted_allocs.load(),
+                    ssim.cross_shard_messages() - cross_before};
+  };
+  // Warm-up: bursts at 0..1000 ms grow the outbox columns, the event slab
+  // and the wheel; then 20 steady-state bursts per shard.
+  const BurstRun steady = run(1050.0, 3050.0);
+  EXPECT_EQ(steady.sent, 20u * 2 * kBurst);
+  EXPECT_EQ(steady.allocs, 0u);
+  // The counter sees a closure that does not fit inline — one heap box
+  // per message, which is what wrapping each cross-shard closure costs.
+  boxed = true;
+  const BurstRun heap = run(3050.0, 5050.0);
+  EXPECT_EQ(heap.sent, 20u * 2 * kBurst);
+  EXPECT_GE(heap.allocs, heap.sent);
+
+  // Every message (51 bursts) arrived on time and was counted as
+  // delivered by the destination bus.
+  EXPECT_EQ(on_time[0] + on_time[1], 51u * 2 * kBurst);
+  const ProtocolStats hb =
+      ssim.MergedTransportStats().protocol(Protocol::kHeartbeat);
+  EXPECT_EQ(hb.sent, 51u * 2 * kBurst);
+  EXPECT_EQ(hb.delivered, hb.sent);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(ssim.shard(s).transport().stats().protocol(Protocol::kHeartbeat)
+                  .delivered,
+              51u * kBurst);
+    EXPECT_EQ(ssim.shard(s).transport().inflight_messages(), 0u);
+  }
+}
+
+// Every shard calls Simulation::RunUntil once per lockstep window, so the
+// call's own bookkeeping — the drain, the clock, the slab gauges, the
+// wall-clock profile — must not allocate once the event stream is steady.
+TEST(ShardAllocation, SteadyStateSerialRunUntilCallsDoNotAllocate) {
+  Simulation sim(5);
+  std::size_t fired = 0;
+  // Eight 1 ms timers with sub-millisecond phases: every tick serves the
+  // same eight events and every 256 ms window boundary cascades the same
+  // eight, so the wheel's bucket vectors reach a fixed capacity.
+  for (int i = 0; i < 8; ++i) {
+    sim.Every(1.0, 0.1 * (i + 1), [&fired] { ++fired; });
+  }
+  // Warm-up past two full rotations of the wheel's 256 level-1 buckets
+  // (2 x 65.536 s of virtual time), and clear of the next level-2
+  // boundary (196.608 s) for the measured stretch below.
+  sim.RunUntil(140000.0);
+  // The wall-clock profile histogram adds a map node per new bucket: touch
+  // every bucket a call's duration could fall in, so a slow (preempted)
+  // call cannot read as kernel allocation.
+  obs::Histogram& profile = sim.metrics().profile("event_loop.run_ms");
+  for (double ms = 1e-9; ms < 1e7; ms *= 1.02) profile.Add(ms);
+
+  const std::size_t fired_before = fired;
+  g_counted_allocs = 0;
+  t_count_allocs = true;
+  for (int i = 1; i <= 1000; ++i) sim.RunUntil(140000.0 + i);
+  t_count_allocs = false;
+  EXPECT_EQ(g_counted_allocs.load(), 0u);
+  EXPECT_EQ(fired - fired_before, 8000u);  // the calls did real work
+  EXPECT_EQ(sim.metrics().Value("kernel.slab_slots"), 8.0);
 }
 
 // ------------------------------------------------- ShardLookaheadMatrix --
@@ -704,7 +737,7 @@ TEST(ShardLookaheadMatrix, MatrixRunMatchesFixedRunWithFewerWindows) {
   // advancing in fewer, larger windows — the tentpole's whole point.
   const ShardedRunLog fixed = RunTwoShards(99, /*threads=*/2);
   const ShardedRunLog matrix =
-      RunTwoShards(99, /*threads=*/2, /*coalesced=*/true, {0.0, 30.0, 15.0, 0.0});
+      RunTwoShards(99, /*threads=*/2, {0.0, 30.0, 15.0, 0.0});
   EXPECT_EQ(fixed.fired, matrix.fired);
   EXPECT_EQ(fixed.cross, matrix.cross);
   EXPECT_EQ(fixed.merged_json, matrix.merged_json);
@@ -718,7 +751,7 @@ TEST(ShardLookaheadMatrix, UnsoundMatrixEntryIsRejectedPerMessage) {
   // An overclaimed pair bound (60 ms > the true 50 ms heartbeat delay)
   // must trip the per-message extraction validation, not deliver late.
   EXPECT_THROW(
-      RunTwoShards(99, /*threads=*/1, /*coalesced=*/true, {0.0, 60.0, 60.0, 0.0}),
+      RunTwoShards(99, /*threads=*/1, {0.0, 60.0, 60.0, 0.0}),
       util::CheckError);
 }
 

@@ -4,11 +4,43 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string_view>
+
 #include "net/latency_oracle.h"
 #include "net/transit_stub.h"
 #include "pool/resource_pool.h"
 
 namespace p2p::testing {
+
+// FNV-1a over a run's observable streams, so a long output (event log,
+// metrics snapshot, trace bytes) can be pinned by one 64-bit constant.
+// Integers and times fold in as their 8 little-endian bytes, strings as
+// their length followed by their bytes.
+class StreamDigest {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) AddByte((v >> (8 * i)) & 0xffu);
+  }
+  void AddTime(double t) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t, sizeof bits);
+    Add(bits);
+  }
+  void AddBytes(std::string_view s) {
+    Add(s.size());
+    for (const char c : s) AddByte(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void AddByte(std::uint64_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
 
 // A small transit-stub configuration: 2×3 transit routers, 2 stub domains
 // of 4 routers per transit router → 6 + 48 = 54 routers, `hosts` end

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -71,6 +72,37 @@ TEST(Flags, UnknownFlagDetection) {
   const auto unknown = f.UnknownFlags();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "mystery");
+}
+
+TEST(Flags, RejectUnknownPassesWhenEveryFlagWasRead) {
+  auto f = Make({"cmd", "--known=1", "--switch"});
+  f.GetInt("known", 0);
+  f.GetBool("switch", false);
+  f.GetString("unused-default", "x");  // registered but not supplied: fine
+  EXPECT_NO_THROW(f.RejectUnknown());
+}
+
+TEST(Flags, RejectUnknownNamesEveryUnknownFlag) {
+  auto f = Make({"--known=1", "--mystery=2", "--help"});
+  f.GetInt("known", 0);
+  try {
+    f.RejectUnknown();
+    FAIL() << "unknown flags were accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--mystery"), std::string::npos) << what;
+    EXPECT_NE(what.find("--help"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--known"), std::string::npos) << what;
+  }
+}
+
+TEST(Flags, RejectUnknownSeesOnlyReadsMadeBeforeIt) {
+  // A flag read after the check counts as unknown at the check: commands
+  // must read every flag up front.
+  auto f = Make({"--late=3"});
+  EXPECT_THROW(f.RejectUnknown(), CheckError);
+  EXPECT_EQ(f.GetInt("late", 0), 3);
+  EXPECT_NO_THROW(f.RejectUnknown());
 }
 
 TEST(Flags, HelpListsRegistrations) {

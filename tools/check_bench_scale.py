@@ -7,9 +7,8 @@ google-benchmark JSON (what bench_to_json writes to BENCH_alm.json).
 
 p2pkernelbench/v1 — bench_kernel drives an identical synthetic protocol
 mix (heartbeats, SOMO reports, transport deliveries, failure-timeout
-rearm churn) through the timing-wheel EventQueue, the retained heap
-backend, and a bench-local copy of the pre-wheel queue, at 1.2k/5k/10k
-hosts. Checks:
+rearm churn) through the timing-wheel EventQueue and a bench-local copy
+of the pre-wheel queue, at 1.2k/5k/10k hosts. Checks:
 
   1. Throughput: at the largest scale, the legacy : wheel ns/event ratio
      must be at least --min-speedup (default 3.0).

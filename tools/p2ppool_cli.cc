@@ -68,8 +68,9 @@ int Usage() {
   return 2;
 }
 
-// Registers the shared --report flag; every command calls this first so the
-// flag appears in --help output, then FinishReport at the end.
+// Registers the shared --report flag; every command reads it with its
+// other flags, before RejectUnknown (so it is listed in the usage text an
+// unknown flag prints), then calls FinishReport at the end.
 std::string ReportPath(util::FlagParser& flags) {
   return flags.GetString("report", "", "write a p2preport/v1 JSON report");
 }
@@ -195,6 +196,7 @@ int CmdPlan(util::FlagParser& flags) {
   const double stream =
       flags.GetDouble("stream-kbps", 0.0, "per-link stream rate (0=off)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   std::printf("building pool (seed %llu) ...\n",
               static_cast<unsigned long long>(seed));
@@ -286,6 +288,7 @@ int CmdMulti(util::FlagParser& flags) {
   const int jobs = flags.GetInt(
       "jobs", 0, "threads for per-session bounds (0 = hardware concurrency)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   std::printf("building pool ...\n");
   pool::PoolConfig cfg;
@@ -362,6 +365,7 @@ int CmdSomo(util::FlagParser& flags) {
   const std::string ts_path = flags.GetString(
       "timeseries", "", "write a per-cycle staleness/traffic CSV to FILE");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   sim::Simulation sim(nodes);
   sim.EnableMetrics();
@@ -496,6 +500,7 @@ int CmdSomoLoss(util::FlagParser& flags) {
   const auto losses = ParseDoubleList(flags.GetString(
       "loss", "0,0.05,0.1,0.2,0.3", "comma-separated loss probabilities"));
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   obs::RunReport report("somo-loss");
   report.set_seed(seed);
@@ -587,6 +592,7 @@ int CmdHbJitter(util::FlagParser& flags) {
   const auto jitters = ParseDoubleList(flags.GetString(
       "jitter", "0,500,1000,2000,4000", "comma-separated jitter bounds (ms)"));
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   obs::RunReport report("hb-jitter");
   report.set_seed(seed);
@@ -646,6 +652,7 @@ int CmdTopo(util::FlagParser& flags) {
   const int jobs = flags.GetInt(
       "jobs", 0, "oracle build threads (0 = hardware concurrency)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
   if (!preset_name.empty())
     params = net::PresetParams(net::ParseTopologyPreset(preset_name));
   util::Rng rng(seed);
@@ -750,15 +757,10 @@ int CmdFullstack(util::FlagParser& flags) {
       "threads", 0, "shard worker threads (0 = min(shards, hardware))"));
   const std::string join_mode = flags.GetString(
       "join", "batch", "DHT bootstrap (batch|per-host; same end state)");
-  const std::string lookahead_mode = flags.GetString(
-      "lookahead", "extracted",
-      "cross-shard windows (extracted = measured per-pair matrix, "
-      "fixed = uniform structural bound)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
   P2P_CHECK_MSG(join_mode == "batch" || join_mode == "per-host",
                 "unknown --join mode '" << join_mode << "'");
-  P2P_CHECK_MSG(lookahead_mode == "extracted" || lookahead_mode == "fixed",
-                "unknown --lookahead mode '" << lookahead_mode << "'");
 
   const alm::Strategy strategy = alm::ParseStrategy(strategy_name);
   std::unique_ptr<alm::Planner> planner =
@@ -801,12 +803,11 @@ int CmdFullstack(util::FlagParser& flags) {
           std::chrono::steady_clock::now() - b0)
           .count();
 
-  // Sharpen the structural constant into the measured per-pair matrix
-  // (--lookahead fixed retains the uniform-window baseline for the a/b
-  // differential). Extraction is exact and deterministic — same seed, same
-  // matrix — so same-seed reports still diff clean.
+  // Multi-shard runs sharpen the structural constant into the measured
+  // per-pair matrix. Extraction is exact and deterministic — same seed,
+  // same matrix — so same-seed reports still diff clean.
   double extract_ms = 0.0;
-  if (shards > 1 && lookahead_mode == "extracted") {
+  if (shards > 1) {
     const auto e0 = std::chrono::steady_clock::now();
     net::ExtractLookahead(topo, oracle, plan);
     extract_ms = std::chrono::duration<double, std::milli>(
@@ -1029,7 +1030,6 @@ int CmdFullstack(util::FlagParser& flags) {
   report.AddConfig("horizon_ms", horizon);
   report.AddConfig("shards", static_cast<std::int64_t>(shards));
   report.AddConfig("join", join_mode);
-  report.AddConfig("lookahead", lookahead_mode);
   // Wall-clock build time stays out of the results (same-seed reports must
   // diff clean); it lives in the metrics profile section like every timer.
   // Keys ending in _ms are likewise skipped by tools/compare_reports.py, so
@@ -1048,8 +1048,8 @@ int CmdFullstack(util::FlagParser& flags) {
   report.AddResult("mem_bytes_per_host", mem_per_host);
   report.AddResult("protocol_events", static_cast<double>(protocol_events));
   // Deterministic lookahead facts (the extraction depends only on seed):
-  // the structural window bound, the measured matrix min (0 on --lookahead
-  // fixed or at 1 shard), and the window count they produce.
+  // the structural window bound, the measured matrix min (0 at 1 shard),
+  // and the window count they produce.
   report.AddResult("lookahead_structural_ms", plan.lookahead_ms);
   report.AddResult("lookahead_extracted_ms", plan.extracted_lookahead_ms);
   report.AddResult("lockstep_windows", static_cast<double>(ssim.windows()));
@@ -1126,6 +1126,7 @@ int CmdCompare(util::FlagParser& flags) {
   const int jobs = flags.GetInt(
       "jobs", 0, "oracle build threads (0 = hardware concurrency)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   std::vector<std::string> planner_names;
   {
@@ -1313,6 +1314,7 @@ int CmdObserve(util::FlagParser& flags) {
   const std::string ts_dir = flags.GetString(
       "timeseries-dir", "", "write observe_<scenario>.csv files to DIR");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   const std::vector<FaultScenario> scenarios =
       ParseScenarios(scenarios_flag, loss);
@@ -1581,6 +1583,7 @@ int CmdAlert(util::FlagParser& flags) {
   const int jobs = flags.GetInt(
       "jobs", 0, "oracle build threads (0 = hardware concurrency)");
   const std::string report_path = ReportPath(flags);
+  flags.RejectUnknown();
 
   const std::vector<FaultScenario> scenarios =
       ParseScenarios(scenarios_flag, loss);
@@ -1938,9 +1941,6 @@ int main(int argc, char** argv) {
       std::printf("unknown command '%s'\n", cmd.c_str());
       return Usage();
     }
-    for (const auto& f : flags.UnknownFlags())
-      std::printf("warning: unknown flag --%s ignored\n%s", f.c_str(),
-                  flags.Help().c_str());
     return rc;
   } catch (const util::CheckError& e) {
     std::printf("error: %s\n%s", e.what(), flags.Help().c_str());

@@ -71,8 +71,7 @@ else
 fi
 
 # Kernel scale sweep: event-loop ns/event at 1.2k/5k/10k hosts under the
-# timing wheel, the retained heap backend, and a copy of the pre-wheel
-# queue. Gated (warn-only) on the >=3x legacy:wheel speedup at 10k hosts,
+# timing wheel and a copy of the pre-wheel queue. Gated (warn-only) on the >=3x legacy:wheel speedup at 10k hosts,
 # flat wheel memory, ns/event regression vs the committed baseline,
 # (PR 9) the per-host protocol memory rows: <= 4096 B/host and >= 2x
 # below the pre-SoA layouts at 10k hosts (--max-bytes-per-host /
